@@ -9,7 +9,7 @@ import repro.bench._
   */
 private[jobs] object JobSpark {
   def session(): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("tqp-repro")
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))

@@ -6,12 +6,11 @@ import org.apache.spark.sql.types._
 
 /** Typed DuckDB correctness oracle.
   *
-  * The provided [[Oracle]] loads every column as VARCHAR, which breaks
-  * aggregates (`SUM(VARCHAR)`) and date arithmetic — unusable for TPC-H.
-  * This variant creates DuckDB tables with types derived from the Spark
-  * schema, loads them via CSV COPY (the JDBC batch path executes one
-  * statement per row and is ~100× slower), caches loaded tables across
-  * calls, and compares rows with numeric tolerance (double summation order
+  * Loading every column as VARCHAR would break aggregates (`SUM(VARCHAR)`)
+  * and date arithmetic, so this oracle creates DuckDB tables with types
+  * derived from the Spark schema, loads them via CSV COPY (the JDBC batch
+  * path executes one statement per row and is ~100× slower), caches loaded
+  * tables across calls, and compares rows with numeric tolerance (double summation order
   * differs across engines).
   */
 object OracleTyped {

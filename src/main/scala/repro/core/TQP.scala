@@ -41,7 +41,7 @@ final class TqpSession(val spark: SparkSession) {
     spark.createDataFrame(rdd, schema).createOrReplaceTempView(name)
   }
 
-  /** Re-register an already-converted tensor table under a Spark view. */
+  /** The tensor table registered under `name`. */
   def tensorTable(name: String): TensorTable = tables(name)
 
   private def tableFor(attrs: Seq[Attribute]): Option[String] = {

@@ -2,7 +2,7 @@ package repro.core.exec
 
 import repro.core.compile.CompiledIR
 import repro.core.data.{Column, DType, TensorTable}
-import repro.core.expr.{ExecEnv, ExprCompiler, ExprEval}
+import repro.core.expr.{ExecEnv, ExprBackend, ExprCompiler, ExprEval}
 import repro.core.ir._
 import repro.core.ops._
 import repro.tensor._
@@ -34,8 +34,12 @@ final case class ExecNode(alias: String, children: Seq[ExecNode],
 
 object Planner {
 
-  def plan(op: IROp, cfg: TqpConfig, tables: String => TensorTable): ExecNode = {
-    val kids = op.children.map(plan(_, cfg, tables))
+  def plan(op: IROp, cfg: TqpConfig, tables: String => TensorTable): ExecNode =
+    build(op, cfg, if (cfg.compiled) ExprCompiler else ExprEval, tables)
+
+  private def build(op: IROp, cfg: TqpConfig, exprs: ExprBackend,
+                    tables: String => TensorTable): ExecNode = {
+    val kids = op.children.map(build(_, cfg, exprs, tables))
     op match {
       case IROp.Scan(name, vars) =>
         ExecNode("scan", Nil, (_, _) => {
@@ -44,33 +48,23 @@ object Planner {
         })
 
       case IROp.Filter(_, cond) =>
-        ExecNode("filter", kids, (in, env) => {
-          val mask =
-            if (cfg.compiled) ExprCompiler.evalMaskFused(cond, in.head, env)
-            else ExprEval.evalMask(cond, in.head, env)
-          in.head.select(mask)
-        })
+        ExecNode("filter", kids, (in, env) => in.head.select(exprs.evalMask(cond, in.head, env)))
 
-      case IROp.Project(_, exprs) =>
-        ExecNode("project", kids, (in, env) => {
-          val cols = exprs.map { case (e, v) =>
-            if (cfg.compiled) ExprCompiler.evalFused(e, in.head, env, v.id)
-            else ExprEval.evalToColumn(e, in.head, env, v.id)
-          }
-          TensorTable(cols.toVector)
-        })
+      case IROp.Project(_, projections) =>
+        ExecNode("project", kids, (in, env) =>
+          TensorTable(projections.map { case (e, v) => exprs.evalToColumn(e, in.head, env, v.id) }.toVector))
 
       case j @ IROp.Join(_, _, kind, lk, rk, res) =>
         ExecNode("join", kids, (in, env) =>
           JoinOp.execute(in.head, in(1), kind, lk, rk, res,
-            cfg.joinAlgo, cfg.compiled, env, j.outVars.map(_.id)))
+            cfg.joinAlgo, exprs, env, j.outVars.map(_.id)))
 
       case IROp.Aggregate(_, g, a, re) =>
         ExecNode("aggregate", kids, (in, env) =>
-          AggregateOp.execute(in.head, g, a, re, cfg.compiled, cfg.hashAgg, env))
+          AggregateOp.execute(in.head, g, a, re, exprs, cfg.hashAgg, env))
 
       case IROp.Sort(_, keys) =>
-        ExecNode("sort", kids, (in, env) => SortOp.execute(in.head, keys, cfg.compiled, env))
+        ExecNode("sort", kids, (in, env) => SortOp.execute(in.head, keys, exprs, env))
 
       case IROp.Limit(_, n) =>
         ExecNode("limit", kids, (in, _) => in.head.limit(n))

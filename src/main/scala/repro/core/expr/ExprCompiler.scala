@@ -20,7 +20,7 @@ import Expr._
   * kernels and enter the fused kernel as leaf vectors — analogous to
   * TorchScript falling back to library kernels for ops it cannot fuse.
   */
-object ExprCompiler {
+object ExprCompiler extends ExprBackend {
 
   private val Block = 4096
 
@@ -539,7 +539,7 @@ object ExprCompiler {
     leafOf(ExprEval.evalToColumn(e, table, env))
 
   /** Evaluate a whole expression fused block-by-block into a Column. */
-  def evalFused(e: Expr, table: TensorTable, env: ExecEnv, name: String = "c"): Column = {
+  def evalToColumn(e: Expr, table: TensorTable, env: ExecEnv, name: String): Column = {
     if (e.dtype == DType.Str) return ExprEval.evalToColumn(e, table, env, name)
     // A bare column reference needs no kernel at all — alias the column.
     e match {
@@ -597,7 +597,7 @@ object ExprCompiler {
   }
 
   /** Fused filter mask (NULL ⇒ false). */
-  def evalMaskFused(e: Expr, table: TensorTable, env: ExecEnv): BoolTensor = {
+  def evalMask(e: Expr, table: TensorTable, env: ExecEnv): BoolTensor = {
     val n  = table.numRows
     val ce = compile(e, table, env)
     val out = new Array[Boolean](n)

@@ -17,38 +17,16 @@ object ExecEnv { val empty: ExecEnv = ExecEnv(Vector.empty) }
 /** Interpreted (eager) expression evaluation — one tensor op and one
   * intermediate tensor per expression node, like vanilla PyTorch (§2.1).
   */
-object ExprEval {
+object ExprEval extends ExprBackend {
 
   /** Evaluation value: a column vector or a scalar (literal / subquery result). */
   sealed trait EvalVal { def dtype: DType }
   final case class VecVal(col: Column) extends EvalVal { def dtype: DType = col.dtype }
   final case class ScalarVal(value: Any, dtype: DType) extends EvalVal { def isNull: Boolean = value == null }
 
-  def evalToColumn(e: Expr, table: TensorTable, env: ExecEnv, name: String = "c"): Column =
-    eval(e, table, env) match {
-      case VecVal(c) => c.renamed(name)
-      case ScalarVal(v, dt) =>
-        val n = table.numRows
-        if (v == null) {
-          val t: Tensor = dt match {
-            case DType.F64 => F64Tensor.fill(n, 0.0)
-            case DType.Str => StringTensor.fromStrings(Array.fill(n)(""))
-            case DType.Bool => BoolTensor.fill(n, false)
-            case _ => I64Tensor.fill(n, 0L)
-          }
-          Column(name, dt, t, Some(Array.fill(n)(false)))
-        } else {
-          val t: Tensor = dt match {
-            case DType.I64 | DType.Date => I64Tensor.fill(n, v.asInstanceOf[Long])
-            case DType.F64              => F64Tensor.fill(n, v.asInstanceOf[Double])
-            case DType.Bool             => BoolTensor.fill(n, v.asInstanceOf[Boolean])
-            case DType.Str              => StringTensor.fromStrings(Array.fill(n)(v.asInstanceOf[String]))
-          }
-          Column(name, dt, t, None)
-        }
-    }
+  def evalToColumn(e: Expr, table: TensorTable, env: ExecEnv, name: String): Column =
+    asVec(eval(e, table, env), table.numRows).renamed(name)
 
-  /** Evaluate a predicate to a filter bitmap; NULL ⇒ false (SQL semantics). */
   def evalMask(e: Expr, table: TensorTable, env: ExecEnv): BoolTensor =
     eval(e, table, env) match {
       case VecVal(c) =>
@@ -240,14 +218,15 @@ object ExprEval {
 
   private def evalArith(kind: ArithKind, lv: EvalVal, rv: EvalVal): EvalVal = {
     val asDouble = kind == DivK || isF64(lv.dtype) || isF64(rv.dtype)
+    val nullOut  = ScalarVal(null, if (asDouble) DType.F64 else DType.I64)
     (lv, rv) match {
       case (ScalarVal(a, _), ScalarVal(b, _)) =>
-        if (a == null || b == null) ScalarVal(null, if (asDouble) DType.F64 else DType.I64)
+        if (a == null || b == null) nullOut
         else if (asDouble) ScalarVal(opD(kind)(numAsDouble(a), numAsDouble(b)), DType.F64)
         else ScalarVal(opL(kind)(numAsLong(a), numAsLong(b)), DType.I64)
 
       case (VecVal(c), ScalarVal(b, _)) =>
-        if (b == null) nullVec(c.length, if (asDouble) DType.F64 else DType.I64)
+        if (b == null) VecVal(asVec(nullOut, c.length))
         else if (asDouble) {
           val bd = numAsDouble(b); val f = opD(kind)
           val t = if (isF64(c.dtype)) mapF64(c.f64)(x => f(x, bd)) else mapF64FromI64(c.i64)(x => f(x.toDouble, bd))
@@ -258,7 +237,7 @@ object ExprEval {
         }
 
       case (ScalarVal(a, _), VecVal(c)) =>
-        if (a == null) nullVec(c.length, if (asDouble) DType.F64 else DType.I64)
+        if (a == null) VecVal(asVec(nullOut, c.length))
         else if (asDouble) {
           val ad = numAsDouble(a); val f = opD(kind)
           val t = if (isF64(c.dtype)) mapF64(c.f64)(x => f(ad, x)) else mapF64FromI64(c.i64)(x => f(ad, x.toDouble))
@@ -290,11 +269,6 @@ object ExprEval {
           VecVal(Column("", DType.I64, t, validity))
         }
     }
-  }
-
-  private def nullVec(n: Int, dt: DType): EvalVal = {
-    val t: Tensor = if (dt == DType.F64) F64Tensor.fill(n, 0.0) else I64Tensor.fill(n, 0L)
-    VecVal(Column("", dt, t, Some(Array.fill(n)(false))))
   }
 
   private def opD(kind: ArithKind): (Double, Double) => Double = kind match {
@@ -356,7 +330,7 @@ object ExprEval {
   }
 
   private def cmpVecScalar(kind: CmpKind, c: Column, b: Any, flipped: Boolean): EvalVal = {
-    if (b == null) return nullBoolVec(c.length)
+    if (b == null) return VecVal(asVec(ScalarVal(null, DType.Bool), c.length))
     // When the scalar was on the left, compare(scalar, x) = -compare(x, scalar).
     def k: CmpKind = if (!flipped) kind else kind match {
       case LtK => GtK; case LeK => GeK; case GtK => LtK; case GeK => LeK; case other => other
@@ -389,9 +363,6 @@ object ExprEval {
     }
     VecVal(Column("", DType.Bool, mask, c.validity))
   }
-
-  private def nullBoolVec(n: Int): EvalVal =
-    VecVal(Column("", DType.Bool, BoolTensor.fill(n, false), Some(Array.fill(n)(false))))
 
   // ----------------------------------------------------------------
   // Boolean connectives / IN / CASE / CAST
@@ -461,32 +432,23 @@ object ExprEval {
       s"CASE over $dt unsupported")
     val elseCol = elseValue.map(e => asVec(eval(e, table, env), n))
     // Fold from the last branch backwards: result = where(cond, branch, acc).
-    var acc: Column = elseCol.getOrElse(asVec(nullVec(n, dt), n))
+    var acc: Column = elseCol.getOrElse(asVec(ScalarVal(null, dt), n))
     branches.reverse.foreach { case (condE, valE) =>
       val mask = evalMask(condE, table, env)
       val v    = asVec(eval(valE, table, env), n)
+      val validity = (v.validity, acc.validity) match {
+        case (None, None) => None
+        case _ =>
+          val vv = v.validity.getOrElse(Array.fill(n)(true))
+          val av = acc.validity.getOrElse(Array.fill(n)(true))
+          Some(Array.tabulate(n)(i => if (mask.data(i)) vv(i) else av(i)))
+      }
       acc =
         if (dt == DType.F64) {
           val vf = if (isF64(v.dtype)) v.f64 else TensorOps.toF64(v.i64)
           val af = if (isF64(acc.dtype)) acc.f64 else TensorOps.toF64(acc.i64)
-          val validity = (v.validity, acc.validity) match {
-            case (None, None) => None
-            case _ =>
-              val vv = v.validity.getOrElse(Array.fill(n)(true))
-              val av = acc.validity.getOrElse(Array.fill(n)(true))
-              Some(Array.tabulate(n)(i => if (mask.data(i)) vv(i) else av(i)))
-          }
           Column("", DType.F64, TensorOps.where(mask, vf, af), validity)
-        } else {
-          val validity = (v.validity, acc.validity) match {
-            case (None, None) => None
-            case _ =>
-              val vv = v.validity.getOrElse(Array.fill(n)(true))
-              val av = acc.validity.getOrElse(Array.fill(n)(true))
-              Some(Array.tabulate(n)(i => if (mask.data(i)) vv(i) else av(i)))
-          }
-          Column("", dt, TensorOps.where(mask, v.i64, acc.i64), validity)
-        }
+        } else Column("", dt, TensorOps.where(mask, v.i64, acc.i64), validity)
     }
     VecVal(acc)
   }
@@ -499,7 +461,6 @@ object ExprEval {
         case (_, DType.F64)          => numAsDouble(x)
         case (_, DType.I64)          => numAsLong(x)
         case (DType.I64, DType.Date) => numAsLong(x)
-        case (DType.Date, DType.I64) => numAsLong(x)
         case (_, DType.Str)          => x.toString
         case other => throw new IllegalArgumentException(s"cast $other unsupported")
       }

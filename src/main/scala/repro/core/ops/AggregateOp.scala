@@ -19,12 +19,12 @@ object AggregateOp {
   def execute(input: TensorTable,
               groupKeys: Seq[(Expr, IRVar)], aggs: Seq[AggCall],
               resultExprs: Seq[(Expr, IRVar)],
-              compiled: Boolean, hashGroups: Boolean, env: ExecEnv): TensorTable = {
+              exprs: ExprBackend, hashGroups: Boolean, env: ExecEnv): TensorTable = {
     val n = input.numRows
 
     // Evaluate grouping expressions (usually plain column refs).
     val keyCols: Seq[Column] =
-      groupKeys.map { case (e, v) => evalCol(e, input, env, compiled).renamed(v.id) }
+      groupKeys.map { case (e, v) => exprs.evalToColumn(e, input, env, v.id) }
 
     val groups: KeyEncoder.Groups =
       if (groupKeys.isEmpty)
@@ -37,7 +37,7 @@ object AggregateOp {
 
     // One slot column per aggregate call.
     val slotCols: Seq[Column] = aggs.zipWithIndex.map { case (call, slot) =>
-      computeSlot(call, input, groups, nSeg, env, compiled).renamed(s"#agg$slot")
+      computeSlot(call, input, groups, nSeg, env, exprs).renamed(s"#agg$slot")
     }
 
     // Group-level table: representative key values + aggregate slots.
@@ -51,13 +51,10 @@ object AggregateOp {
 
     // Final projection over keys and slots (§5.1 expression evaluation).
     val outCols = resultExprs.map { case (e, v) =>
-      evalCol(rewriteAggRefs(e), groupTable, env, compiled).renamed(v.id)
+      exprs.evalToColumn(rewriteAggRefs(e), groupTable, env, v.id)
     }
     TensorTable(outCols.toVector)
   }
-
-  private def evalCol(e: Expr, t: TensorTable, env: ExecEnv, compiled: Boolean): Column =
-    if (compiled) ExprCompiler.evalFused(e, t, env) else ExprEval.evalToColumn(e, t, env)
 
   /** AggRef(slot) → ColRef("#agg<slot>") so post-agg projections reuse the
     * regular expression evaluators.
@@ -84,7 +81,7 @@ object AggregateOp {
 
   /** Evaluate one aggregate call into its per-group slot column. */
   private def computeSlot(call: AggCall, input: TensorTable, groups: KeyEncoder.Groups,
-                          nSeg: Int, env: ExecEnv, compiled: Boolean): Column = {
+                          nSeg: Int, env: ExecEnv, exprs: ExprBackend): Column = {
     import AggFn._
     val n = input.numRows
 
@@ -93,7 +90,7 @@ object AggregateOp {
       return Column("", DType.I64, counts, None)
     }
 
-    val arg = evalCol(call.arg.get, input, env, compiled)
+    val arg = exprs.evalToColumn(call.arg.get, input, env)
     // Permute argument rows into group-sorted order (Algorithm 3 line 4).
     val sortedArg   = arg.gather(groups.perm)
     val validSorted = sortedArg.validity

@@ -1,7 +1,7 @@
 package repro.core.ops
 
 import repro.core.data.{Column, DType, TensorTable}
-import repro.core.expr.{ExecEnv, Expr, ExprCompiler, ExprEval}
+import repro.core.expr.{ExecEnv, Expr, ExprBackend}
 import repro.core.ir.JoinKind
 import repro.tensor._
 
@@ -28,14 +28,14 @@ object JoinOp {
 
   def execute(left: TensorTable, right: TensorTable, kind: JoinKind,
               leftKeys: Seq[Expr], rightKeys: Seq[Expr], residual: Option[Expr],
-              algo: JoinAlgo, compiled: Boolean, env: ExecEnv,
+              algo: JoinAlgo, exprs: ExprBackend, env: ExecEnv,
               outNames: Seq[String]): TensorTable = {
 
     val (lIdx0, rIdx0) =
       if (leftKeys.isEmpty) cross(left.numRows, right.numRows)
       else {
-        val lCols = leftKeys.map(e => evalCol(e, left, env, compiled))
-        val rCols = rightKeys.map(e => evalCol(e, right, env, compiled))
+        val lCols = leftKeys.map(e => exprs.evalToColumn(e, left, env))
+        val rCols = rightKeys.map(e => exprs.evalToColumn(e, right, env))
         val (lc, rc, k) = encodeWithNulls(lCols, rCols)
         algo match {
           case JoinAlgo.Sort => SortJoin.join(lc, rc, k)
@@ -56,7 +56,7 @@ object JoinOp {
           left.columns.filter(c => refs(c.name)).map(_.gather(lIdx0)) ++
           right.columns.filter(c => refs(c.name)).map(_.gather(rIdx0))
         val pairTable = TensorTable(pairCols.toVector)
-        val mask = evalMask(cond, pairTable, env, compiled)
+        val mask = exprs.evalMask(cond, pairTable, env)
         (TensorOps.maskedSelect(lIdx0, mask), TensorOps.maskedSelect(rIdx0, mask))
     }
 
@@ -85,12 +85,6 @@ object JoinOp {
         renameTo(TensorTable(cols), outNames)
     }
   }
-
-  private def evalCol(e: Expr, t: TensorTable, env: ExecEnv, compiled: Boolean): Column =
-    if (compiled) ExprCompiler.evalFused(e, t, env) else ExprEval.evalToColumn(e, t, env)
-
-  private def evalMask(e: Expr, t: TensorTable, env: ExecEnv, compiled: Boolean): BoolTensor =
-    if (compiled) ExprCompiler.evalMaskFused(e, t, env) else ExprEval.evalMask(e, t, env)
 
   /** Null join keys never match: remap rows with a null key component to
     * per-side sentinel codes outside `[0, k)`'s shared match range.

@@ -1,7 +1,7 @@
 package repro.core.ops
 
 import repro.core.data.{Column, DType, TensorTable}
-import repro.core.expr.{ExecEnv, Expr, ExprCompiler, ExprEval}
+import repro.core.expr.{ExecEnv, Expr, ExprBackend}
 import repro.tensor._
 
 /** ORDER BY: stable multi-key sort via repeated radix argsort passes (last
@@ -11,13 +11,11 @@ object SortOp {
 
   /** keys: (expr, ascending, nullsFirst). */
   def execute(input: TensorTable, keys: Seq[(Expr, Boolean, Boolean)],
-              compiled: Boolean, env: ExecEnv): TensorTable = {
+              exprs: ExprBackend, env: ExecEnv): TensorTable = {
     val n = input.numRows
     var perm = TensorOps.arange(n)
     keys.reverse.foreach { case (e, asc, nullsFirst) =>
-      val col = if (compiled) ExprCompiler.evalFused(e, input, env)
-                else ExprEval.evalToColumn(e, input, env)
-      val encoded = encodeKey(col, asc, nullsFirst)
+      val encoded = encodeKey(exprs.evalToColumn(e, input, env), asc, nullsFirst)
       val gathered = TensorOps.indexSelect(encoded, perm)
       val p2 = if (asc) TensorOps.argsort(gathered) else TensorOps.argsortDescending(gathered)
       perm = TensorOps.indexSelect(perm, p2)

@@ -1,17 +1,16 @@
 package repro.sparkexec
 
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.{Row, SparkSession}
+import org.apache.spark.sql.catalyst.{CatalystTypeConverters, InternalRow}
 import org.apache.spark.sql.catalyst.expressions.{Attribute, Expression => CExpr}
 import org.apache.spark.sql.catalyst.plans.logical
 import org.apache.spark.sql.catalyst.plans.logical.LogicalPlan
 import org.apache.spark.sql.execution.{SparkPlan, SparkStrategy, UnaryExecNode}
 import org.apache.spark.sql.types._
 import repro.core.compile.CatalystFrontend
-import repro.core.data.{Column, DType, TensorTable}
+import repro.core.data.TensorTable
 import repro.core.expr.{ExecEnv, ExprEval}
-import repro.tensor._
 
 /** The paper's physical-operator extension point (system-prompt "Layering"):
   * a Catalyst `Strategy` that plans logical `Filter`s whose predicates TQP
@@ -48,7 +47,8 @@ object TqpFilterStrategy extends SparkStrategy {
 }
 
 /** Tensor bitmap filter as a physical Spark operator: per partition, the
-  * child's rows are transposed into column tensors (§4.1), the predicate is
+  * child's rows are transposed into column tensors by
+  * [[TensorTable.fromRows]] (§4.1), the predicate is
   * evaluated with the §5.1 expression machinery into a bitmap (§3.1), and
   * the selected rows stream out.
   */
@@ -61,83 +61,16 @@ final case class TqpFilterExec(condition: CExpr, child: SparkPlan) extends Unary
 
   override protected def doExecute(): RDD[InternalRow] = {
     val expr   = CatalystFrontend.translateExpression(condition)
-    val fields = child.output.map(a => (CatalystFrontend.varId(a), a.dataType)).toArray
+    val schema = StructType(child.output.map(a => StructField(CatalystFrontend.varId(a), a.dataType)))
     child.execute().mapPartitions { iter =>
       val rows = iter.map(_.copy()).toArray
       if (rows.isEmpty) Iterator.empty
       else {
-        val table = TqpFilterExec.toTensorTable(rows, fields)
+        val toRow = CatalystTypeConverters.createToScalaConverter(schema)
+        val table = TensorTable.fromRows(schema, rows.map(r => toRow(r).asInstanceOf[Row]))
         val mask  = ExprEval.evalMask(expr, table, ExecEnv.empty)
         rows.iterator.zipWithIndex.collect { case (r, i) if mask.data(i) => r }
       }
     }
   }
-}
-
-object TqpFilterExec {
-
-  /** Transpose InternalRows into a columnar TensorTable (data conversion,
-    * §4.3 step 1, on the executor side).
-    */
-  private[sparkexec] def toTensorTable(rows: Array[InternalRow],
-                                       fields: Array[(String, DataType)]): TensorTable = {
-    val n = rows.length
-    val cols = fields.zipWithIndex.map { case ((name, dt), ci) =>
-      var validity: Array[Boolean] = null
-      def markNull(i: Int): Unit = {
-        if (validity == null) validity = Array.fill(n)(true)
-        validity(i) = false
-      }
-      val col: Column = dt match {
-        case LongType =>
-          val a = new Array[Long](n)
-          var i = 0
-          while (i < n) { if (rows(i).isNullAt(ci)) markNull(i) else a(i) = rows(i).getLong(ci); i += 1 }
-          Column(name, DType.I64, I64Tensor(a), Option(validity))
-        case IntegerType =>
-          val a = new Array[Long](n)
-          var i = 0
-          while (i < n) { if (rows(i).isNullAt(ci)) markNull(i) else a(i) = rows(i).getInt(ci).toLong; i += 1 }
-          Column(name, DType.I64, I64Tensor(a), Option(validity))
-        case DateType =>
-          val a = new Array[Long](n)
-          var i = 0
-          while (i < n) { if (rows(i).isNullAt(ci)) markNull(i) else a(i) = rows(i).getInt(ci).toLong; i += 1 }
-          Column(name, DType.Date, I64Tensor(a), Option(validity))
-        case DoubleType =>
-          val a = new Array[Double](n)
-          var i = 0
-          while (i < n) { if (rows(i).isNullAt(ci)) markNull(i) else a(i) = rows(i).getDouble(ci); i += 1 }
-          Column(name, DType.F64, F64Tensor(a), Option(validity))
-        case FloatType =>
-          val a = new Array[Double](n)
-          var i = 0
-          while (i < n) { if (rows(i).isNullAt(ci)) markNull(i) else a(i) = rows(i).getFloat(ci).toDouble; i += 1 }
-          Column(name, DType.F64, F64Tensor(a), Option(validity))
-        case BooleanType =>
-          val a = new Array[Boolean](n)
-          var i = 0
-          while (i < n) { if (rows(i).isNullAt(ci)) markNull(i) else a(i) = rows(i).getBoolean(ci); i += 1 }
-          Column(name, DType.Bool, BoolTensor(a), Option(validity))
-        case StringType =>
-          val a = new Array[String](n)
-          var i = 0
-          while (i < n) {
-            if (rows(i).isNullAt(ci)) { markNull(i); a(i) = "" }
-            else a(i) = rows(i).getUTF8String(ci).toString
-            i += 1
-          }
-          Column(name, DType.Str, StringTensor.fromStrings(a), Option(validity))
-        case other => throw new IllegalArgumentException(s"unsupported type $other")
-      }
-      col
-    }
-    TensorTable(cols.toVector)
-  }
-
-  /** Internal-date epoch handling note: Spark stores DateType as epoch days
-    * in InternalRow, which matches TQP's representation exactly — the
-    * conversion above is zero-transform for dates (§4.1's "zero-copy for
-    * numerics" argument).
-    */
 }

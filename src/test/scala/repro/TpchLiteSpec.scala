@@ -24,7 +24,7 @@ class TpchLiteSpec extends SparkSpec {
 
   test("foreign keys stay in their parent domains") {
     def range(df: org.apache.spark.sql.DataFrame, c: String): (Long, Long) = {
-      val r = df.agg(min(col(c)), max(col(c))).head
+      val r = df.agg(min(col(c)), max(col(c))).head()
       (r.getLong(0), r.getLong(1))
     }
     assert(range(t("lineitem"), "l_orderkey")._2 <= 15000)
@@ -32,7 +32,7 @@ class TpchLiteSpec extends SparkSpec {
     assert(range(t("lineitem"), "l_suppkey")._2 <= 100)
     assert(range(t("orders"), "o_custkey")._2 <= 1500)
     assert(range(t("partsupp"), "ps_suppkey")._2 <= 100)
-    val nk = t("customer").agg(min(col("c_nationkey")), max(col("c_nationkey"))).head
+    val nk = t("customer").agg(min(col("c_nationkey")), max(col("c_nationkey"))).head()
     assert(nk.getInt(0) >= 0 && nk.getInt(1) < 25)
   }
 
@@ -69,7 +69,7 @@ class TpchLiteSpec extends SparkSpec {
   }
 
   test("dates stay in TPC-H's 1992-1998 window") {
-    val r = t("lineitem").agg(min(col("l_shipdate")), max(col("l_shipdate"))).head
+    val r = t("lineitem").agg(min(col("l_shipdate")), max(col("l_shipdate"))).head()
     assert(r.getDate(0).toLocalDate.getYear >= 1992)
     assert(r.getDate(1).toLocalDate.getYear <= 1998)
   }

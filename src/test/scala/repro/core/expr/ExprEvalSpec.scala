@@ -19,13 +19,13 @@ class ExprEvalSpec extends AnyFunSuite {
     Column("s", DType.Str, StringTensor.fromStrings(Array("x", "y", "x", "z"))),
   ))
 
-  private def both(e: Expr): (Column, Column) =
-    (ExprEval.evalToColumn(e, table, ExecEnv.empty),
-     ExprCompiler.evalFused(e, table, ExecEnv.empty))
+  private def both(e: Expr, t: TensorTable = table): (Column, Column) =
+    (ExprEval.evalToColumn(e, t, ExecEnv.empty),
+     ExprCompiler.evalToColumn(e, t, ExecEnv.empty))
 
   private def bothMask(e: Expr): (Seq[Boolean], Seq[Boolean]) =
     (ExprEval.evalMask(e, table, ExecEnv.empty).data.toSeq,
-     ExprCompiler.evalMaskFused(e, table, ExecEnv.empty).data.toSeq)
+     ExprCompiler.evalMask(e, table, ExecEnv.empty).data.toSeq)
 
   test("arithmetic promotes i64 × f64 to f64 in both modes") {
     val e = Arith(MulK, ColRef("a", DType.F64), ColRef("b", DType.I64))
@@ -109,27 +109,36 @@ class ExprEvalSpec extends AnyFunSuite {
     val env = ExecEnv(Vector(java.lang.Double.valueOf(2.5)))
     val e = Cmp(GtK, ColRef("a", DType.F64), ScalarSub(0, DType.F64))
     assert(ExprEval.evalMask(e, table, env).data.toSeq == Seq(false, false, true, true))
-    assert(ExprCompiler.evalMaskFused(e, table, env).data.toSeq == Seq(false, false, true, true))
+    assert(ExprCompiler.evalMask(e, table, env).data.toSeq == Seq(false, false, true, true))
   }
 
   test("null scalar subquery filters everything") {
     val env = ExecEnv(Vector(null))
     val e = Cmp(GtK, ColRef("a", DType.F64), ScalarSub(0, DType.F64))
     assert(ExprEval.evalMask(e, table, env).data.forall(!_))
-    assert(ExprCompiler.evalMaskFused(e, table, env).data.forall(!_))
+    assert(ExprCompiler.evalMask(e, table, env).data.forall(!_))
   }
 
   test("cast between i64 and f64") {
     val (i, c) = both(CastTo(ColRef("b", DType.I64), DType.F64))
     assert(i.dtype == DType.F64 && i.f64.data.toSeq == Seq(10.0, 20.0, 30.0, 40.0))
     assert(c.f64.data.toSeq == i.f64.data.toSeq)
+    // Date → i64 is the epoch day, from a column and from a literal.
+    val day = java.time.LocalDate.of(1995, 7, 1).toEpochDay
+    val dates = table.withColumn(Column("d", DType.Date, I64Tensor(Array(day, day + 1, day + 2, day + 3))))
+    for ((x, expected) <- Seq(ColRef("d", DType.Date) -> Seq(day, day + 1, day + 2, day + 3),
+                              Lit(day, DType.Date) -> Seq.fill(4)(day))) {
+      val (di, dc) = both(CastTo(x, DType.I64), dates)
+      assert(di.dtype == DType.I64 && dc.dtype == DType.I64, x)
+      assert(di.i64.data.toSeq == expected && dc.i64.data.toSeq == expected, x)
+    }
   }
 
   test("year extracts from epoch-day dates") {
     val d = java.time.LocalDate.of(1995, 7, 1).toEpochDay
     val tab = TensorTable(Vector(Column("d", DType.Date, I64Tensor(Array(d, d + 400)))))
     val i = ExprEval.evalToColumn(Year(ColRef("d", DType.Date)), tab, ExecEnv.empty)
-    val c = ExprCompiler.evalFused(Year(ColRef("d", DType.Date)), tab, ExecEnv.empty)
+    val c = ExprCompiler.evalToColumn(Year(ColRef("d", DType.Date)), tab, ExecEnv.empty)
     assert(i.i64.data.toSeq == Seq(1995L, 1996L))
     assert(c.i64.data.toSeq == i.i64.data.toSeq)
   }
@@ -140,7 +149,7 @@ class ExprEvalSpec extends AnyFunSuite {
     val pi = new Profile
     ExecCtx.withProfile(pi) { ExprEval.evalToColumn(e, table, ExecEnv.empty) }
     val pc = new Profile
-    ExecCtx.withProfile(pc) { ExprCompiler.evalFused(e, table, ExecEnv.empty) }
+    ExecCtx.withProfile(pc) { ExprCompiler.evalToColumn(e, table, ExecEnv.empty) }
     assert(pi.totalOps > pc.totalOps, s"${pi.totalOps} vs ${pc.totalOps}")
   }
 }

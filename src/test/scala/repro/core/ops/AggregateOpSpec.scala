@@ -7,7 +7,8 @@ import repro.core.ir.IRVar
 import repro.tensor._
 
 /** Algorithm 3 unit tests: grouped and global aggregation, nulls, DISTINCT,
-  * string min/max, empty inputs — in sort-based and hash-based grouping.
+  * string min/max, empty inputs — in sort-based and hash-based grouping,
+  * each under both expression backends.
   */
 class AggregateOpSpec extends AnyFunSuite {
   import Expr._
@@ -22,16 +23,22 @@ class AggregateOpSpec extends AnyFunSuite {
     Column("s", DType.Str, StringTensor.fromStrings(Array("b", "z", "a", "y", "a"))),
   ))
 
-  private def run(groupKeys: Seq[(Expr, IRVar)], aggs: Seq[AggCall],
+  private val backends = Seq("interpreted" -> ExprEval, "compiled" -> ExprCompiler)
+
+  /** A test whose body runs once per expression backend. */
+  private def testBoth(name: String)(check: ExprBackend => Unit): Unit =
+    test(name)(backends.foreach { case (b, exprs) => withClue(s"[$b] ")(check(exprs)) })
+
+  private def run(exprs: ExprBackend, groupKeys: Seq[(Expr, IRVar)], aggs: Seq[AggCall],
                   res: Seq[(Expr, IRVar)], hash: Boolean = false,
                   input: TensorTable = table): TensorTable =
-    AggregateOp.execute(input, groupKeys, aggs, res, compiled = false, hashGroups = hash, ExecEnv.empty)
+    AggregateOp.execute(input, groupKeys, aggs, res, exprs, hashGroups = hash, ExecEnv.empty)
 
   private val gKey = Seq((ColRef("g", DType.I64): Expr, v("g", DType.I64)))
 
-  test("grouped sum/count/avg/min/max (sort and hash paths)") {
+  testBoth("grouped sum/count/avg/min/max (sort and hash paths)") { exprs =>
     for (hash <- Seq(false, true)) {
-      val out = run(gKey,
+      val out = run(exprs, gKey,
         Seq(AggCall(AggFn.Sum, Some(ColRef("x", DType.F64)), distinct = false),
             AggCall(AggFn.CountStar, None, distinct = false),
             AggCall(AggFn.Avg, Some(ColRef("x", DType.F64)), distinct = false),
@@ -51,8 +58,8 @@ class AggregateOpSpec extends AnyFunSuite {
     }
   }
 
-  test("nulls are skipped by sum/count/avg but counted by count(*)") {
-    val out = run(gKey,
+  testBoth("nulls are skipped by sum/count/avg but counted by count(*)") { exprs =>
+    val out = run(exprs, gKey,
       Seq(AggCall(AggFn.Sum, Some(ColRef("nx", DType.F64)), distinct = false),
           AggCall(AggFn.Count, Some(ColRef("nx", DType.F64)), distinct = false),
           AggCall(AggFn.CountStar, None, distinct = false),
@@ -71,8 +78,8 @@ class AggregateOpSpec extends AnyFunSuite {
     assert(out.column("s").f64.data(g2) == 9.0 && out.column("c").i64.data(g2) == 3L)
   }
 
-  test("count distinct and sum distinct") {
-    val out = run(gKey,
+  testBoth("count distinct and sum distinct") { exprs =>
+    val out = run(exprs, gKey,
       Seq(AggCall(AggFn.Count, Some(ColRef("s", DType.Str)), distinct = true),
           AggCall(AggFn.Sum, Some(ColRef("x", DType.F64)), distinct = false)),
       Seq((ColRef("g", DType.I64), v("g", DType.I64)),
@@ -85,8 +92,8 @@ class AggregateOpSpec extends AnyFunSuite {
     assert(rows == Seq((1L, 2L), (2L, 2L)))
   }
 
-  test("min/max over strings") {
-    val out = run(gKey,
+  testBoth("min/max over strings") { exprs =>
+    val out = run(exprs, gKey,
       Seq(AggCall(AggFn.Min, Some(ColRef("s", DType.Str)), distinct = false),
           AggCall(AggFn.Max, Some(ColRef("s", DType.Str)), distinct = false)),
       Seq((ColRef("g", DType.I64), v("g", DType.I64)),
@@ -98,10 +105,10 @@ class AggregateOpSpec extends AnyFunSuite {
     assert(rows == Seq((1L, "y", "z"), (2L, "a", "b")))
   }
 
-  test("global aggregate over empty input returns one row with SQL semantics") {
+  testBoth("global aggregate over empty input returns one row with SQL semantics") { exprs =>
     val empty = TensorTable(Vector(
       Column("x", DType.F64, F64Tensor(Array.emptyDoubleArray))))
-    val out = run(Nil,
+    val out = run(exprs, Nil,
       Seq(AggCall(AggFn.Sum, Some(ColRef("x", DType.F64)), distinct = false),
           AggCall(AggFn.CountStar, None, distinct = false)),
       Seq((AggRef(0, DType.F64), v("s", DType.F64)),
@@ -112,19 +119,19 @@ class AggregateOpSpec extends AnyFunSuite {
     assert(out.column("c").i64.data(0) == 0L)
   }
 
-  test("grouped aggregate over empty input returns zero rows") {
+  testBoth("grouped aggregate over empty input returns zero rows") { exprs =>
     val empty = TensorTable(Vector(
       Column("g", DType.I64, I64Tensor(Array.emptyLongArray)),
       Column("x", DType.F64, F64Tensor(Array.emptyDoubleArray))))
-    val out = run(gKey,
+    val out = run(exprs, gKey,
       Seq(AggCall(AggFn.Sum, Some(ColRef("x", DType.F64)), distinct = false)),
       Seq((ColRef("g", DType.I64), v("g", DType.I64)), (AggRef(0, DType.F64), v("s", DType.F64))),
       input = empty)
     assert(out.numRows == 0)
   }
 
-  test("post-aggregation expressions combine slots (sum/sum)") {
-    val out = run(gKey,
+  testBoth("post-aggregation expressions combine slots (sum/sum)") { exprs =>
+    val out = run(exprs, gKey,
       Seq(AggCall(AggFn.Sum, Some(ColRef("x", DType.F64)), distinct = false),
           AggCall(AggFn.CountStar, None, distinct = false)),
       Seq((Arith(DivK, AggRef(0, DType.F64), AggRef(1, DType.I64)), v("manual_avg", DType.F64))))
@@ -132,7 +139,7 @@ class AggregateOpSpec extends AnyFunSuite {
     assert(vals == Seq(30.0, 30.0))
   }
 
-  test("multi-column group keys") {
+  testBoth("multi-column group keys") { exprs =>
     val t2 = table.withColumn(Column("g2", DType.Str,
       StringTensor.fromStrings(Array("p", "p", "q", "p", "q"))))
     val out = AggregateOp.execute(t2,
@@ -141,7 +148,7 @@ class AggregateOpSpec extends AnyFunSuite {
       Seq((ColRef("g", DType.I64), v("g", DType.I64)),
           (ColRef("g2", DType.Str), v("g2", DType.Str)),
           (AggRef(0, DType.I64), v("c", DType.I64))),
-      compiled = false, hashGroups = false, ExecEnv.empty)
+      exprs, hashGroups = false, ExecEnv.empty)
     val rows = (0 until out.numRows).map { i =>
       (out.column("g").i64.data(i), out.column("g2").str.rowString(i), out.column("c").i64.data(i))
     }.toSet

@@ -82,6 +82,31 @@ class SparkExecSpec extends SparkSpec {
     } finally TqpFilterStrategy.uninstall(spark)
   }
 
+  test("TqpFilterStrategy converts null cells and filters on a date column") {
+    val schema = StructType(Seq(
+      StructField("k", LongType), StructField("v", DoubleType),
+      StructField("s", StringType), StructField("d", DateType)))
+    val rows = (1 to 2000).map { i =>
+      def nullEvery(m: Int)(a: Any): Any = if (i % m == 0) null else a
+      Row(nullEvery(3)(i.toLong % 97), nullEvery(5)(i * 0.5), nullEvery(7)(s"s$i"),
+          nullEvery(11)(java.sql.Date.valueOf(java.time.LocalDate.of(1994, 1, 1).plusDays(i % 900))))
+    }
+    spark.createDataFrame(spark.sparkContext.parallelize(rows, 8), schema)
+      .createOrReplaceTempView("strategy_nulls")
+    val sql = "select * from strategy_nulls where d >= date '1994-09-01'"
+    TqpFilterStrategy.install(spark)
+    try {
+      val q = spark.sql(sql)
+      val physical = q.queryExecution.executedPlan.toString
+      assert(physical.contains("TqpFilter"), s"plan should use TqpFilterExec:\n$physical")
+      val got = q.collect().toSeq
+      TqpFilterStrategy.uninstall(spark)
+      val exp = spark.sql(sql).collect().toSeq
+      assert(got == exp)
+      assert((0 to 2).forall(c => got.exists(_.isNullAt(c))), "nulls must reach the output")
+    } finally TqpFilterStrategy.uninstall(spark)
+  }
+
   test("strategy leaves untranslatable predicates to Spark") {
     uncached.createOrReplaceTempView("strategy_t")
     TqpFilterStrategy.install(spark)
