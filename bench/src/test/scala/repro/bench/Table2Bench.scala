@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.engines.EngineSim
 
 /** Table 2 reproduction: all 22 TPC-H queries across the eight engine
   * columns. Shape assertions encode the paper's key takeaways (§6.1, §6.2).

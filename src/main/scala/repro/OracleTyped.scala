@@ -120,9 +120,10 @@ object OracleTyped {
   def execute(sql: String): Unit = synchronized { conn.createStatement.execute(sql); () }
 
   /** Compare row multisets: sort both by canonical string, then pairwise
-    * compare cells with relative tolerance for floating point.
+    * compare cells with relative tolerance for floating point. `spark` is
+    * the result under test, `duck` the reference.
     */
-  private def compare(spark: Vector[IndexedSeq[Any]], duck: Vector[IndexedSeq[Any]]): Unit = {
+  def compare(spark: Vector[IndexedSeq[Any]], duck: Vector[IndexedSeq[Any]]): Unit = {
     require(spark.size == duck.size, s"row count mismatch: spark=${spark.size} duckdb=${duck.size}\n" +
       s"  spark head: ${spark.take(3).map(_.map(canonCell))}\n  duck head: ${duck.take(3).map(_.map(canonCell))}")
     def key(r: IndexedSeq[Any]): String = r.map(canonCell).mkString("|")

@@ -4,7 +4,7 @@ import org.apache.spark.sql.SparkSession
 import repro.OracleTyped
 import repro.core.exec.TqpConfig
 import repro.engines.EngineSim
-import repro.tensor.{CpuDevice, Profile}
+import repro.tensor.CpuDevice
 import repro.tpch.{TpchEnv, TpchQueries}
 
 /** Table 2: full TPC-H. CPU columns (Spark, DuckDB single-thread, TQP,

@@ -2,7 +2,6 @@ package repro.bench
 
 import org.apache.spark.sql.SparkSession
 import repro.OracleTyped
-import repro.core.exec.TqpConfig
 import repro.engines.EngineSim
 import repro.handopt.{HandOptMode, HandOptimized}
 import repro.tensor.{CpuDevice, ExecCtx, Profile}

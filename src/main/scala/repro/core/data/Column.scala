@@ -39,6 +39,17 @@ final case class Column(name: String, dtype: DType, tensor: Tensor,
 
   /** Gather rows by index; index -1 produces a NULL row (outer-join padding). */
   def gather(idx: I64Tensor): Column = {
+    if (length == 0) {
+      // A zero-row source can only be gathered by padding: all-null rows.
+      val n = idx.length
+      val t = tensor match {
+        case _: I64Tensor    => I64Tensor(new Array[Long](n))
+        case _: F64Tensor    => F64Tensor(new Array[Double](n))
+        case _: BoolTensor   => BoolTensor(new Array[Boolean](n))
+        case _: StringTensor => StringTensor.fromStrings(Array.fill(n)(""))
+      }
+      return Column(name, dtype, t, if (n == 0) None else Some(new Array[Boolean](n)))
+    }
     val anyNegative = {
       var found = false
       var i = 0

@@ -5,7 +5,6 @@ import repro.core.data.{Column, DType, TensorTable}
 import repro.core.expr.{ExecEnv, ExprBackend, ExprCompiler, ExprEval}
 import repro.core.ir._
 import repro.core.ops._
-import repro.tensor._
 
 /** Execution configuration: the axes the paper evaluates.
   *

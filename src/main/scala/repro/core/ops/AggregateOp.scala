@@ -8,11 +8,14 @@ import repro.tensor._
 /** Sort-based group-by aggregation — the paper's Algorithm 3.
   *
   * Group keys are concatenated/packed and radix-sorted; a
-  * uniqueConsecutive pass yields group ids (inverse indices); aggregate
-  * expressions are evaluated with the §5.1 expression machinery and reduced
-  * per group via scatter ops. `hashGroups = true` swaps the grouping step
-  * for a hash-based one (the OmnisciDB-style alternative the paper credits
-  * for its Q1/Q9 GPU wins, §6.6) — the aggregation itself is unchanged.
+  * uniqueConsecutive pass yields group ids (inverse indices), which one
+  * scatter through the sort permutation turns into a group id per input
+  * row (`Groups.rowGroup`). Aggregate expressions are evaluated with the
+  * §5.1 expression machinery and scatter-reduced by `rowGroup` in original
+  * row order, so no argument column is gathered. `hashGroups = true` swaps
+  * the grouping step for a hash-based one (the OmnisciDB-style alternative
+  * the paper credits for its Q1/Q9 GPU wins, §6.6) — the aggregation
+  * itself is unchanged.
   */
 object AggregateOp {
 
@@ -27,26 +30,21 @@ object AggregateOp {
       groupKeys.map { case (e, v) => exprs.evalToColumn(e, input, env, v.id) }
 
     val groups: KeyEncoder.Groups =
-      if (groupKeys.isEmpty)
-        KeyEncoder.Groups(TensorOps.arange(n), I64Tensor.fill(n, 0L), 1, I64Tensor(Array(0L)))
+      if (groupKeys.isEmpty) KeyEncoder.Groups(I64Tensor.fill(n, 0L), 1, I64Tensor(Array(0L)))
       else {
         val enc = keyCols.map(KeyEncoder.toOrderedI64)
         if (hashGroups) HashGrouping.groupsOf(enc) else KeyEncoder.groupsOf(enc)
       }
-    val nSeg = groups.nGroups
+    // Rows per group: COUNT(*), and the valid count of every null-free argument.
+    lazy val rowCounts = TensorOps.bincount(groups.rowGroup, groups.nGroups)
 
     // One slot column per aggregate call.
     val slotCols: Seq[Column] = aggs.zipWithIndex.map { case (call, slot) =>
-      computeSlot(call, input, groups, nSeg, env, exprs).renamed(s"#agg$slot")
+      computeSlot(call, input, groups, rowCounts, env, exprs).renamed(s"#agg$slot")
     }
 
     // Group-level table: representative key values + aggregate slots.
-    val keyOut: Seq[Column] =
-      if (groupKeys.isEmpty) Nil
-      else {
-        val rep = if (n == 0) I64Tensor(Array.emptyLongArray) else groups.repRows
-        keyCols.map(_.gather(rep))
-      }
+    val keyOut = keyCols.map(_.gather(groups.repRows))
     val groupTable = TensorTable((keyOut ++ slotCols).toVector)
 
     // Final projection over keys and slots (§5.1 expression evaluation).
@@ -81,87 +79,54 @@ object AggregateOp {
 
   /** Evaluate one aggregate call into its per-group slot column. */
   private def computeSlot(call: AggCall, input: TensorTable, groups: KeyEncoder.Groups,
-                          nSeg: Int, env: ExecEnv, exprs: ExprBackend): Column = {
+                          rowCounts: => I64Tensor, env: ExecEnv, exprs: ExprBackend): Column = {
     import AggFn._
-    val n = input.numRows
+    val rowGroup = groups.rowGroup
+    val nSeg = groups.nGroups
 
-    if (call.fn == CountStar) {
-      val counts = TensorOps.scatterAdd(I64Tensor.fill(n, 1L), groups.segIdSorted, nSeg)
-      return Column("", DType.I64, counts, None)
-    }
+    if (call.fn == CountStar) return Column("", DType.I64, rowCounts, None)
 
     val arg = exprs.evalToColumn(call.arg.get, input, env)
-    // Permute argument rows into group-sorted order (Algorithm 3 line 4).
-    val sortedArg   = arg.gather(groups.perm)
-    val validSorted = sortedArg.validity
+    if (call.distinct) return computeDistinct(call, arg, groups)
 
-    def validCounts: I64Tensor = {
-      val ones = validSorted match {
-        case None    => I64Tensor.fill(n, 1L)
-        case Some(v) => I64Tensor(v.map(b => if (b) 1L else 0L))
-      }
-      TensorOps.scatterAdd(ones, groups.segIdSorted, nSeg)
+    val counts = arg.validity match {
+      case None    => rowCounts
+      case Some(v) => TensorOps.scatterAdd(I64Tensor(v.map(b => if (b) 1L else 0L)), rowGroup, nSeg)
     }
-
-    def validityFromCounts(counts: I64Tensor): Option[Array[Boolean]] = {
-      val any = counts.data.exists(_ == 0L)
-      if (any) Some(counts.data.map(_ > 0L)) else None
-    }
-
-    if (call.distinct) return computeDistinct(call, sortedArg, groups, nSeg)
+    val validity = nullIfEmpty(counts)
+    def sumF = TensorOps.scatterAdd(fillInvalid(arg.f64, arg.validity, 0.0), rowGroup, nSeg)
+    def sumL = TensorOps.scatterAdd(fillInvalid(arg.i64, arg.validity, 0L), rowGroup, nSeg)
 
     call.fn match {
-      case Count =>
-        Column("", DType.I64, validCounts, None)
+      case Count => Column("", DType.I64, counts, None)
 
       case Sum =>
-        val counts = validCounts
-        if (arg.dtype == DType.F64) {
-          val vals = zeroInvalidF(sortedArg)
-          Column("", DType.F64, TensorOps.scatterAdd(vals, groups.segIdSorted, nSeg), validityFromCounts(counts))
-        } else {
-          val vals = zeroInvalidL(sortedArg)
-          Column("", DType.I64, TensorOps.scatterAdd(vals, groups.segIdSorted, nSeg), validityFromCounts(counts))
-        }
+        if (arg.dtype == DType.F64) Column("", DType.F64, sumF, validity)
+        else Column("", DType.I64, sumL, validity)
 
       case Avg =>
-        val counts = validCounts
-        val sums =
-          if (arg.dtype == DType.F64) TensorOps.scatterAdd(zeroInvalidF(sortedArg), groups.segIdSorted, nSeg)
-          else TensorOps.toF64(TensorOps.scatterAdd(zeroInvalidL(sortedArg), groups.segIdSorted, nSeg))
-        val avg = TensorOps.div(sums, TensorOps.toF64(counts))
-        Column("", DType.F64, avg, validityFromCounts(counts))
+        val sums = if (arg.dtype == DType.F64) sumF else TensorOps.toF64(sumL)
+        Column("", DType.F64, TensorOps.div(sums, TensorOps.toF64(counts)), validity)
 
       case Min | Max =>
-        val counts = validCounts
-        val validity = validityFromCounts(counts)
+        val isMin = call.fn == Min
         if (arg.dtype == DType.F64) {
-          val vals = fillInvalidF(sortedArg, if (call.fn == Min) Double.PositiveInfinity else Double.NegativeInfinity)
-          val t = if (call.fn == Min) TensorOps.scatterMin(vals, groups.segIdSorted, nSeg)
-                  else TensorOps.scatterMax(vals, groups.segIdSorted, nSeg)
+          val vals = fillInvalid(arg.f64, arg.validity, if (isMin) Double.PositiveInfinity else Double.NegativeInfinity)
+          val t = if (isMin) TensorOps.scatterMin(vals, rowGroup, nSeg) else TensorOps.scatterMax(vals, rowGroup, nSeg)
           Column("", DType.F64, t, validity)
-        } else if (arg.dtype == DType.Str) {
-          // Min/max over strings: reduce on dictionary ranks, then decode.
-          val (codes, dict) = StringTensor.dictEncode(sortedArg.str)
-          val vals = sortedArg.validity match {
-            case None => codes
-            case Some(v) =>
-              val c = codes.data.clone()
-              var i = 0
-              while (i < c.length) { if (!v(i)) c(i) = if (call.fn == Min) Long.MaxValue else Long.MinValue; i += 1 }
-              I64Tensor(c)
-          }
-          val red = if (call.fn == Min) TensorOps.scatterMin(vals, groups.segIdSorted, nSeg)
-                    else TensorOps.scatterMax(vals, groups.segIdSorted, nSeg)
-          val strs = red.data.map { code =>
-            if (code >= 0 && code < dict.length) dict(code.toInt) else ""
-          }
-          Column("", DType.Str, StringTensor.fromStrings(strs), validity)
         } else {
-          val vals = fillInvalidL(sortedArg, if (call.fn == Min) Long.MaxValue else Long.MinValue)
-          val t = if (call.fn == Min) TensorOps.scatterMin(vals, groups.segIdSorted, nSeg)
-                  else TensorOps.scatterMax(vals, groups.segIdSorted, nSeg)
-          Column("", arg.dtype, t, validity)
+          // Strings reduce on dictionary ranks, then decode.
+          val (codes, dict) =
+            if (arg.dtype == DType.Str) { val (c, d) = StringTensor.dictEncode(arg.str); (c, Some(d)) }
+            else (arg.i64, None)
+          val vals = fillInvalid(codes, arg.validity, if (isMin) Long.MaxValue else Long.MinValue)
+          val t = if (isMin) TensorOps.scatterMin(vals, rowGroup, nSeg) else TensorOps.scatterMax(vals, rowGroup, nSeg)
+          dict match {
+            case None => Column("", arg.dtype, t, validity)
+            case Some(d) =>
+              val strs = t.data.map(code => if (code >= 0 && code < d.length) d(code.toInt) else "")
+              Column("", DType.Str, StringTensor.fromStrings(strs), validity)
+          }
         }
 
       case CountStar => throw new IllegalStateException("handled above")
@@ -172,72 +137,63 @@ object AggregateOp {
     * secondary stable sort on (group, value), then reduce first occurrences
     * (COUNT/SUM DISTINCT — what TPC-H needs, e.g. Q16).
     */
-  private def computeDistinct(call: AggCall, sortedArg: Column,
-                              groups: KeyEncoder.Groups, nSeg: Int): Column = {
+  private def computeDistinct(call: AggCall, arg: Column, groups: KeyEncoder.Groups): Column = {
     import AggFn._
-    val n = sortedArg.length
-    val valsI64 = KeyEncoder.toOrderedI64(sortedArg)
-    val perm2 = KeyEncoder.lexArgsort(Seq(groups.segIdSorted, valsI64))
+    val n = arg.length
+    val rowGroup = groups.rowGroup
+    val valsI64 = KeyEncoder.toOrderedI64(arg)
+    val perm = KeyEncoder.lexArgsort(Seq(rowGroup, valsI64))
+    // A valid row is first if it differs from the previous valid row in
+    // (group, value) order; null rows neither count nor hide a value.
     val firstMask = new Array[Boolean](n)
+    var prev = -1
     var i = 0
     while (i < n) {
-      val p = perm2.data(i).toInt
-      val isFirst = i == 0 || {
-        val q = perm2.data(i - 1).toInt
-        groups.segIdSorted.data(p) != groups.segIdSorted.data(q) || valsI64.data(p) != valsI64.data(q)
+      val p = perm.data(i).toInt
+      if (arg.isValid(p)) {
+        firstMask(p) = prev < 0 || rowGroup.data(p) != rowGroup.data(prev) || valsI64.data(p) != valsI64.data(prev)
+        prev = p
       }
-      firstMask(p) = isFirst && sortedArg.isValid(p)
       i += 1
     }
     Profile.rec("distinctMask", OpClass.Unique, n, n * 17L)
     val mask = BoolTensor(firstMask)
-    val segSel = TensorOps.maskedSelect(groups.segIdSorted, mask)
+    val segSel = TensorOps.maskedSelect(rowGroup, mask)
+    val nSeg = groups.nGroups
+    val counts = TensorOps.bincount(segSel, nSeg)
     call.fn match {
       case Count =>
-        Column("", DType.I64, TensorOps.scatterAdd(I64Tensor.fill(segSel.length, 1L), segSel, nSeg), None)
-      case Sum if sortedArg.dtype == DType.F64 =>
-        val v = TensorOps.maskedSelect(sortedArg.f64, mask)
-        Column("", DType.F64, TensorOps.scatterAdd(v, segSel, nSeg), None)
+        Column("", DType.I64, counts, None)
+      case Sum if arg.dtype == DType.F64 =>
+        Column("", DType.F64, TensorOps.scatterAdd(TensorOps.maskedSelect(arg.f64, mask), segSel, nSeg), nullIfEmpty(counts))
       case Sum =>
-        val v = TensorOps.maskedSelect(sortedArg.i64, mask)
-        Column("", DType.I64, TensorOps.scatterAdd(v, segSel, nSeg), None)
+        Column("", DType.I64, TensorOps.scatterAdd(TensorOps.maskedSelect(arg.i64, mask), segSel, nSeg), nullIfEmpty(counts))
       case other => throw new IllegalArgumentException(s"DISTINCT unsupported for $other")
     }
   }
 
-  private def zeroInvalidF(c: Column): F64Tensor = c.validity match {
-    case None => c.f64
-    case Some(v) =>
-      val out = c.f64.data.clone()
-      var i = 0
-      while (i < out.length) { if (!v(i)) out(i) = 0.0; i += 1 }
-      F64Tensor(out)
-  }
+  /** NULL for groups with no non-null input (SQL SUM/AVG/MIN/MAX). */
+  private def nullIfEmpty(counts: I64Tensor): Option[Array[Boolean]] =
+    if (counts.data.exists(_ == 0L)) Some(counts.data.map(_ > 0L)) else None
 
-  private def zeroInvalidL(c: Column): I64Tensor = c.validity match {
-    case None => c.i64
-    case Some(v) =>
-      val out = c.i64.data.clone()
-      var i = 0
-      while (i < out.length) { if (!v(i)) out(i) = 0L; i += 1 }
-      I64Tensor(out)
-  }
+  /** `values` with null rows replaced by `fill` (no copy when none is null). */
+  private[ops] def fillInvalid(values: I64Tensor, validity: Option[Array[Boolean]], fill: Long): I64Tensor =
+    validity match {
+      case None => values
+      case Some(v) =>
+        val out = values.data.clone()
+        var i = 0
+        while (i < out.length) { if (!v(i)) out(i) = fill; i += 1 }
+        I64Tensor(out)
+    }
 
-  private def fillInvalidF(c: Column, fill: Double): F64Tensor = c.validity match {
-    case None => c.f64
-    case Some(v) =>
-      val out = c.f64.data.clone()
-      var i = 0
-      while (i < out.length) { if (!v(i)) out(i) = fill; i += 1 }
-      F64Tensor(out)
-  }
-
-  private def fillInvalidL(c: Column, fill: Long): I64Tensor = c.validity match {
-    case None => c.i64
-    case Some(v) =>
-      val out = c.i64.data.clone()
-      var i = 0
-      while (i < out.length) { if (!v(i)) out(i) = fill; i += 1 }
-      I64Tensor(out)
-  }
+  private def fillInvalid(values: F64Tensor, validity: Option[Array[Boolean]], fill: Double): F64Tensor =
+    validity match {
+      case None => values
+      case Some(v) =>
+        val out = values.data.clone()
+        var i = 0
+        while (i < out.length) { if (!v(i)) out(i) = fill; i += 1 }
+        F64Tensor(out)
+    }
 }

@@ -5,11 +5,13 @@ import repro.tensor._
 /** Hash-based grouping — the algorithmic alternative to Algorithm 3's sort
   * used by OmnisciDB-style engines (the paper attributes OmnisciDB's Q1/Q9
   * GPU wins to hash-based aggregation, §6.6). Produces the same
-  * [[KeyEncoder.Groups]] structure as the sort path so [[AggregateOp]] is
-  * agnostic to the grouping algorithm.
+  * [[KeyEncoder.Groups]] structure as the sort path — a group id per input
+  * row — so [[AggregateOp]] is agnostic to the grouping algorithm.
   *
-  * Implementation: open-addressing table over packed keys (linear probing).
-  * Keys that cannot be packed fall back to the sort path.
+  * Implementation: open-addressing table over packed keys (linear probing);
+  * group ids are assigned in order of first appearance, so each group's
+  * representative is its first row. Keys that cannot be packed fall back to
+  * the sort path.
   */
 object HashGrouping {
 
@@ -56,29 +58,6 @@ object HashGrouping {
       i += 1
     }
     Profile.rec("hashGroup", OpClass.Scatter, n, n * 24L)
-
-    // AggregateOp consumes group-sorted order; for the hash path the rows
-    // "sorted by group" are obtained by a counting pass over group ids
-    // (cheap scatter, no comparison sort).
-    val counts = new Array[Int](nGroups)
-    i = 0
-    while (i < n) { counts(gid(i).toInt) += 1; i += 1 }
-    val starts = new Array[Int](nGroups)
-    var acc = 0
-    var g = 0
-    while (g < nGroups) { starts(g) = acc; acc += counts(g); g += 1 }
-    val perm = new Array[Long](n)
-    val segIdSorted = new Array[Long](n)
-    i = 0
-    while (i < n) {
-      val gg = gid(i).toInt
-      val pos = starts(gg)
-      perm(pos) = i
-      segIdSorted(pos) = gg
-      starts(gg) = pos + 1
-      i += 1
-    }
-    Profile.rec("hashGroupScatter", OpClass.Scatter, n, n * 24L)
-    KeyEncoder.Groups(I64Tensor(perm), I64Tensor(segIdSorted), nGroups, I64Tensor(repB.toArray))
+    KeyEncoder.Groups(I64Tensor(gid), nGroups, I64Tensor(repB.toArray))
   }
 }

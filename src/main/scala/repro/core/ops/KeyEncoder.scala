@@ -49,47 +49,52 @@ object KeyEncoder {
     perm
   }
 
-  /** Grouping structure over sorted order (Algorithm 3, lines 2–5).
+  /** Grouping of the input rows (Algorithm 3, lines 2–5).
     *
-    * @param perm        row permutation that sorts by the keys
-    * @param segIdSorted for each sorted position, its group id (monotonic)
-    * @param nGroups     number of distinct keys
-    * @param repRows     original row index of each group's first member
+    * @param rowGroup group id of each input row, in original row order
+    * @param nGroups  number of distinct keys
+    * @param repRows  original row index of each group's first member
     */
-  final case class Groups(perm: I64Tensor, segIdSorted: I64Tensor, nGroups: Int, repRows: I64Tensor)
+  final case class Groups(rowGroup: I64Tensor, nGroups: Int, repRows: I64Tensor)
 
-  /** Sort rows of `keyCols` lexicographically and find consecutive-unique
-    * groups (tuple-level uniqueConsecutive with inverse indices).
+  /** Sort rows of `keyCols` lexicographically, find consecutive-unique
+    * groups (tuple-level uniqueConsecutive with inverse indices), and
+    * scatter the inverse back through the sort permutation so each row
+    * carries its group id. Group ids follow key order.
     */
   def groupsOf(keyCols: Seq[I64Tensor]): Groups = {
     val n = keyCols.headOption.map(_.length).getOrElse(0)
     if (keyCols.isEmpty || n == 0) {
-      return Groups(TensorOps.arange(n), I64Tensor.fill(n, 0L), if (n == 0) 0 else 1, TensorOps.arange(math.min(n, 1)))
+      return Groups(I64Tensor.fill(n, 0L), if (n == 0) 0 else 1, TensorOps.arange(math.min(n, 1)))
     }
     packColumns(keyCols) match {
       case Some(packed) =>
-        val (_, perm) = TensorOps.sort(packed)
-        val sortedKeys = TensorOps.indexSelect(packed, perm)
+        val (sortedKeys, perm) = TensorOps.sort(packed)
         val (_, inv, _) = TensorOps.uniqueConsecutive(sortedKeys)
         finishGroups(perm, inv)
       case None =>
         val perm = lexArgsort(keyCols)
-        val inv  = tupleUniqueConsecutive(keyCols, perm)
-        finishGroups(perm, inv)
+        finishGroups(perm, tupleUniqueConsecutive(keyCols, perm))
     }
   }
 
+  /** `rowGroup(perm(i)) = inv(i)`; the stable sort puts each group's first
+    * row first, so that row is its representative.
+    */
   private def finishGroups(perm: I64Tensor, inv: I64Tensor): Groups = {
     val n = perm.length
-    val nGroups = if (n == 0) 0 else inv.data(n - 1).toInt + 1
+    val nGroups = inv.data(n - 1).toInt + 1
+    val rowGroup = new Array[Long](n)
     val rep = new Array[Long](nGroups)
     var i = 0
     while (i < n) {
-      if (i == 0 || inv.data(i) != inv.data(i - 1)) rep(inv.data(i).toInt) = perm.data(i)
+      val g = inv.data(i)
+      rowGroup(perm.data(i).toInt) = g
+      if (i == 0 || g != inv.data(i - 1)) rep(g.toInt) = perm.data(i)
       i += 1
     }
-    Profile.rec("groupRep", OpClass.ElementWise, n, n * 8L)
-    Groups(perm, inv, nGroups, I64Tensor(rep))
+    Profile.rec("groupScatter", OpClass.Scatter, n, n * 24L)
+    Groups(I64Tensor(rowGroup), nGroups, I64Tensor(rep))
   }
 
   /** uniqueConsecutive over tuples, walking the sorted permutation. */
@@ -192,15 +197,8 @@ object KeyEncoder {
           } else None
         }
       } else None
-      direct.getOrElse {
-        // Rank-encode through a shared sort over the union.
-        val g = groupsOf(combined)
-        val inv = new Array[Long](nL + nR)
-        var i = 0
-        while (i < g.perm.length) { inv(g.perm.data(i).toInt) = g.segIdSorted.data(i); i += 1 }
-        Profile.rec("rankEncode", OpClass.Scatter, inv.length, inv.length * 16L)
-        I64Tensor(inv)
-      }
+      // Otherwise rank-encode through a shared sort over the union.
+      direct.getOrElse(groupsOf(combined).rowGroup)
     }
     val k =
       if (codes.length == 0) 0

@@ -1,7 +1,6 @@
 package repro.sparkexec
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.catalyst.expressions.{Attribute, Expression => CExpr}
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.catalyst.plans.logical
 import org.apache.spark.sql.types.StructType
 import repro.core.compile.CatalystFrontend
@@ -70,9 +69,8 @@ object PartitionedTqp {
           case o => throw new IllegalArgumentException(s"bad value $o")
         }))
         val g = KeyEncoder.groupsOf(Seq(keys))
-        val sortedVals = TensorOps.indexSelect(vals, g.perm)
-        val sums   = TensorOps.scatterAdd(sortedVals, g.segIdSorted, g.nGroups)
-        val counts = TensorOps.scatterAdd(I64Tensor.fill(rows.length, 1L), g.segIdSorted, g.nGroups)
+        val sums   = TensorOps.scatterAdd(vals, g.rowGroup, g.nGroups)
+        val counts = TensorOps.bincount(g.rowGroup, g.nGroups)
         (0 until g.nGroups).iterator.map { s =>
           Row(keys.data(g.repRows.data(s).toInt), sums.data(s), counts.data(s))
         }
@@ -87,8 +85,8 @@ object PartitionedTqp {
       else {
         val keys = I64Tensor(collected.map(_.getLong(0)))
         val g = KeyEncoder.groupsOf(Seq(keys))
-        val sums   = TensorOps.scatterAdd(TensorOps.indexSelect(F64Tensor(collected.map(_.getDouble(1))), g.perm), g.segIdSorted, g.nGroups)
-        val counts = TensorOps.scatterAdd(TensorOps.indexSelect(I64Tensor(collected.map(_.getLong(2))), g.perm), g.segIdSorted, g.nGroups)
+        val sums   = TensorOps.scatterAdd(F64Tensor(collected.map(_.getDouble(1))), g.rowGroup, g.nGroups)
+        val counts = TensorOps.scatterAdd(I64Tensor(collected.map(_.getLong(2))), g.rowGroup, g.nGroups)
         (0 until g.nGroups).map { s =>
           Row(keys.data(g.repRows.data(s).toInt), sums.data(s), counts.data(s))
         }.toArray

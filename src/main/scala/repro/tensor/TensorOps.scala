@@ -532,14 +532,16 @@ object TensorOps {
       while (i < a.length) { acc += a.data(i); i += 1 }
       acc
     } else {
-      val parts = new java.util.concurrent.ConcurrentLinkedQueue[java.lang.Double]()
+      // Partials keyed by chunk start and added in chunk order, so the
+      // result does not depend on which chunk finishes first.
+      val parts = new java.util.concurrent.ConcurrentSkipListMap[Integer, java.lang.Double]()
       dev.parallelRanges(a.length) { (s, e) =>
         var acc = 0.0; var i = s
         while (i < e) { acc += a.data(i); i += 1 }
-        parts.add(acc)
+        parts.put(s, acc)
       }
       var acc = 0.0
-      parts.forEach(d => acc += d)
+      parts.values.forEach(d => acc += d)
       acc
     }
   }

@@ -9,8 +9,6 @@ import repro.tensor._
   * nulls, dates, and gather/select with outer-join padding.
   */
 class TensorTableSpec extends SparkSpec {
-  import scala.jdk.CollectionConverters._
-
   private val schema = StructType(Seq(
     StructField("i", LongType), StructField("d", DoubleType),
     StructField("s", StringType), StructField("dt", DateType),
@@ -50,6 +48,11 @@ class TensorTableSpec extends SparkSpec {
     assert(g.column("i").i64.data(2) == 1L)
     // Row 0 of the gather is source row 2, whose "i" was already null.
     assert(!g.column("i").isValid(0))
+    // A zero-row source (LEFT JOIN against an empty side) yields all-null rows.
+    val e = t.limit(0).gather(I64Tensor(Array(-1L, -1L)))
+    assert(e.numRows == 2)
+    assert(e.columns.forall(c => c.length == 2 && !c.isValid(0) && !c.isValid(1)))
+    assert(e.column("s").str.rowString(1) == "" && e.column("d").f64.data(0) == 0.0)
   }
 
   test("select keeps masked rows only") {

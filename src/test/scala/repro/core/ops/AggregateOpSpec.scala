@@ -154,4 +154,69 @@ class AggregateOpSpec extends AnyFunSuite {
     }.toSet
     assert(rows == Set((2L, "p", 1L), (1L, "p", 2L), (2L, "q", 2L)))
   }
+
+  testBoth("grouped aggregates are bit-identical to a row-order loop (sort and hash paths)") { exprs =>
+    val n = 120000
+    val rnd = new scala.util.Random(2024)
+    // ~3000 signed keys spread over ~24M values: every radix pass runs.
+    val keys = Array.fill(n)((rnd.nextInt(3000) - 1500) * 7919L)
+    val allNullKey = keys(0) // every row of this group is null
+    // A small pool of mixed magnitudes, so groups repeat values (DISTINCT).
+    val pool = Array.fill(200)((rnd.nextDouble() + 0.01) * math.pow(10.0, rnd.nextInt(13) - 6) *
+      (if (rnd.nextBoolean()) 1 else -1))
+    val xs = Array.fill(n)(pool(rnd.nextInt(pool.length)))
+    val valid = Array.tabulate(n)(i => keys(i) != allNullKey && rnd.nextInt(10) != 0)
+    val input = TensorTable(Vector(
+      Column("k", DType.I64, I64Tensor(keys)),
+      Column("x", DType.F64, F64Tensor(xs), Some(valid))))
+
+    // Reference: one pass in row order per group.
+    final class Acc {
+      var sum = 0.0; var cnt = 0L; var rows = 0L
+      var mn = Double.PositiveInfinity; var mx = Double.NegativeInfinity
+      var dsum = 0.0; val seen = scala.collection.mutable.Set[Double]()
+    }
+    val ref = scala.collection.mutable.Map[Long, Acc]()
+    for (i <- 0 until n) {
+      val a = ref.getOrElseUpdate(keys(i), new Acc)
+      a.rows += 1
+      if (valid(i)) {
+        val x = xs(i)
+        a.sum += x; a.cnt += 1
+        if (x < a.mn) a.mn = x
+        if (x > a.mx) a.mx = x
+        if (a.seen.add(x)) a.dsum += x
+      }
+    }
+
+    val x = Some(ColRef("x", DType.F64))
+    val calls = Seq(AggFn.Sum, AggFn.Avg, AggFn.Min, AggFn.Max, AggFn.Count)
+      .map(fn => AggCall(fn, x, distinct = false)) ++
+      Seq(AggCall(AggFn.CountStar, None, distinct = false), AggCall(AggFn.Sum, x, distinct = true))
+    val names = Seq("s", "a", "mn", "mx", "c", "cs", "ds")
+    val types = Seq(DType.F64, DType.F64, DType.F64, DType.F64, DType.I64, DType.I64, DType.F64)
+    val res = (ColRef("k", DType.I64): Expr, v("k", DType.I64)) +:
+      names.indices.map(j => (AggRef(j, types(j)): Expr, v(names(j), types(j))))
+    for (hash <- Seq(false, true)) withClue(s"hash=$hash ") {
+      val out = run(exprs, Seq((ColRef("k", DType.I64), v("k", DType.I64))), calls, res, hash, input)
+      assert(out.numRows == ref.size)
+      def f(c: String, i: Int): Option[Double] =
+        if (out.column(c).isValid(i)) Some(out.column(c).f64.data(i)) else None
+      for (i <- 0 until out.numRows) {
+        val k = out.column("k").i64.data(i)
+        val a = ref(k)
+        val some = a.cnt > 0
+        withClue(s"key $k: ") {
+          assert(f("s", i) == Option.when(some)(a.sum))
+          assert(f("a", i) == Option.when(some)(a.sum / a.cnt.toDouble))
+          assert(f("mn", i) == Option.when(some)(a.mn))
+          assert(f("mx", i) == Option.when(some)(a.mx))
+          assert(out.column("c").i64.data(i) == a.cnt)
+          assert(out.column("cs").i64.data(i) == a.rows)
+          assert(f("ds", i) == Option.when(some)(a.dsum))
+        }
+      }
+      assert(ref(allNullKey).cnt == 0 && ref.values.exists(a => a.seen.size < a.cnt))
+    }
+  }
 }

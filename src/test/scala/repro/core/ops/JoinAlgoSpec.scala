@@ -100,11 +100,12 @@ class JoinAlgoSpec extends AnyFunSuite {
     val keys = I64Tensor(Array(3L, 1L, 3L, 2L, 1L, 3L))
     val g = KeyEncoder.groupsOf(Seq(keys))
     assert(g.nGroups == 3)
-    // segIdSorted monotonic
-    assert(g.segIdSorted.data.toSeq == g.segIdSorted.data.sorted.toSeq)
-    // representative rows carry the right key values
-    val repKeys = g.repRows.data.map(i => keys.data(i.toInt)).toSeq
-    assert(repKeys == Seq(1L, 2L, 3L))
+    // Sort-path group ids follow key order: key(i) < key(j) ⇒ rowGroup(i) < rowGroup(j).
+    for (i <- keys.data.indices; j <- keys.data.indices if keys.data(i) < keys.data(j))
+      assert(g.rowGroup.data(i) < g.rowGroup.data(j), s"rows $i, $j")
+    assert(g.rowGroup.data.toSeq == Seq(2L, 0L, 2L, 1L, 0L, 2L))
+    // Each group's representative is its first row.
+    assert(g.repRows.data.toSeq == Seq(1L, 3L, 0L))
   }
 
   test("HashGrouping matches sort grouping semantics") {
@@ -114,11 +115,33 @@ class JoinAlgoSpec extends AnyFunSuite {
     val hashG = HashGrouping.groupsOf(Seq(keys))
     assert(hashG.nGroups == sortG.nGroups)
     // Same partition of rows into groups (group labels may differ).
-    def partition(g: KeyEncoder.Groups): Set[Set[Long]] = {
-      val m = scala.collection.mutable.Map[Long, Set[Long]]().withDefaultValue(Set.empty)
-      g.perm.data.indices.foreach { p => m(g.segIdSorted.data(p)) += g.perm.data(p) }
-      m.values.toSet
-    }
+    def partition(g: KeyEncoder.Groups): Set[Set[Int]] =
+      g.rowGroup.data.indices.groupBy(i => g.rowGroup.data(i)).values.map(_.toSet).toSet
     assert(partition(hashG) == partition(sortG))
+    // Both paths pick each group's first row as its representative.
+    for (g <- Seq(sortG, hashG); gid <- 0 until g.nGroups)
+      assert(g.repRows.data(gid) == g.rowGroup.data.indexOf(gid.toLong))
+  }
+
+  test("LEFT OUTER JOIN against an empty right side pads every left row with nulls") {
+    import repro.core.data.{Column, DType, TensorTable}
+    import repro.core.expr.{ExecEnv, Expr, ExprEval}
+    import repro.core.ir.JoinKind
+    val left = TensorTable(Vector(
+      Column("lk", DType.I64, I64Tensor(Array(1L, 2L, 2L))),
+      Column("lv", DType.Str, StringTensor.fromStrings(Array("a", "b", "c")))))
+    val right = TensorTable(Vector(
+      Column("rk", DType.I64, I64Tensor(Array.emptyLongArray)),
+      Column("rx", DType.F64, F64Tensor(Array.emptyDoubleArray)),
+      Column("rs", DType.Str, StringTensor.fromStrings(Array.empty[String]))))
+    for (algo <- Seq(JoinAlgo.Sort, JoinAlgo.Hash)) withClue(s"$algo: ") {
+      val out = JoinOp.execute(left, right, JoinKind.LeftOuter,
+        Seq(Expr.ColRef("lk", DType.I64)), Seq(Expr.ColRef("rk", DType.I64)), None,
+        algo, ExprEval, ExecEnv.empty, Seq("lk", "lv", "rk", "rx", "rs"))
+      assert(out.numRows == 3)
+      val rows = (0 until 3).map(i => (out.column("lk").i64.data(i), out.column("lv").str.rowString(i))).sorted
+      assert(rows == Seq((1L, "a"), (2L, "b"), (2L, "c")))
+      for (c <- Seq("rk", "rx", "rs"); i <- 0 until 3) assert(!out.column(c).isValid(i), s"$c row $i")
+    }
   }
 }

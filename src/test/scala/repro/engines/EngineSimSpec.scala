@@ -1,7 +1,6 @@
 package repro.engines
 
 import repro.SparkSpec
-import repro.core.exec.TqpConfig
 import repro.tensor.{CpuDevice, Profile}
 import repro.tpch.{TpchEnv, TpchQueries}
 

@@ -177,6 +177,10 @@ class TensorOpsSpec extends AnyFunSuite {
       val sSum = TensorOps.sum(F64Tensor(a))
       val mSum = ExecCtx.withDevice(dev) { TensorOps.sum(F64Tensor(a)) }
       assert(math.abs(sSum - mSum) < 1e-6 * math.max(math.abs(sSum), 1.0))
+      // Summation order is fixed: mixed magnitudes make it observable.
+      val b = F64Tensor(Array.tabulate(300000)(i => math.sin(i.toDouble) * math.pow(10.0, i % 13 - 6)))
+      val repeated = ExecCtx.withDevice(dev) { Seq.fill(20)(TensorOps.sum(b)) }
+      assert(repeated.distinct.size == 1, repeated.distinct)
     } finally dev.close()
   }
 

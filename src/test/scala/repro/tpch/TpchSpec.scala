@@ -56,8 +56,9 @@ class TpchSpec extends SparkSpec {
   test("TQP answers match Spark's own answers (Q1)") {
     // Cross-check the third engine: Spark executes the same optimized plans.
     val q = queries("Q1")
-    val spk = spark.sql(q).collect().map(_.toString).sorted
-    val got = tqp.runToDf(q, TqpConfig.interpreted).collect().map(_.toString).sorted
-    assert(spk.length == got.length)
+    def rows(df: org.apache.spark.sql.DataFrame) = df.collect().toVector.map(_.toSeq.toIndexedSeq)
+    val spk = rows(spark.sql(q))
+    assert(spk.nonEmpty)
+    OracleTyped.compare(rows(tqp.runToDf(q, TqpConfig.interpreted)), spk)
   }
 }
