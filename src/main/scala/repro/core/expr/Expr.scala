@@ -1,6 +1,7 @@
 package repro.core.expr
 
 import repro.core.data.DType
+import repro.tensor.TensorOps
 
 /** TQP's internal expression IR (§5.1).
   *
@@ -24,11 +25,12 @@ object Expr {
   /** SQL NULL of a given type. */
   final case class NullLit(dtype: DType) extends Expr { def children = Nil }
 
-  sealed trait ArithKind
-  case object AddK extends ArithKind
-  case object SubK extends ArithKind
-  case object MulK extends ArithKind
-  case object DivK extends ArithKind
+  /** `op` is the [[TensorOps]] op code both expression backends run. */
+  sealed abstract class ArithKind(val op: Int)
+  case object AddK extends ArithKind(TensorOps.Add)
+  case object SubK extends ArithKind(TensorOps.Sub)
+  case object MulK extends ArithKind(TensorOps.Mul)
+  case object DivK extends ArithKind(TensorOps.Div)
 
   final case class Arith(kind: ArithKind, l: Expr, r: Expr) extends Expr {
     def children = Seq(l, r)
@@ -42,16 +44,24 @@ object Expr {
     def children = Seq(e); def dtype: DType = e.dtype
   }
 
-  sealed trait CmpKind
-  case object EqK extends CmpKind
-  case object NeK extends CmpKind
-  case object LtK extends CmpKind
-  case object LeK extends CmpKind
-  case object GtK extends CmpKind
-  case object GeK extends CmpKind
+  sealed abstract class CmpKind(val op: Int)
+  case object EqK extends CmpKind(TensorOps.Eq)
+  case object NeK extends CmpKind(TensorOps.Ne)
+  case object LtK extends CmpKind(TensorOps.Lt)
+  case object LeK extends CmpKind(TensorOps.Le)
+  case object GtK extends CmpKind(TensorOps.Gt)
+  case object GeK extends CmpKind(TensorOps.Ge)
 
   final case class Cmp(kind: CmpKind, l: Expr, r: Expr) extends Expr {
     def children = Seq(l, r); def dtype: DType = DType.Bool
+    /** The type both sides are compared in: Str for strings, F64 if either
+      * side is F64 (an I64 side is widened, never the F64 side truncated),
+      * else I64 (dates included).
+      */
+    val operandType: DType =
+      if (l.dtype == DType.Str || r.dtype == DType.Str) DType.Str
+      else if (l.dtype == DType.F64 || r.dtype == DType.F64) DType.F64
+      else DType.I64
   }
 
   final case class And(l: Expr, r: Expr) extends Expr { def children = Seq(l, r); def dtype = DType.Bool }

@@ -24,18 +24,6 @@ object ExprCompiler extends ExprBackend {
 
   private val Block = 4096
 
-  // Arithmetic / comparison opcodes (switch targets inside block loops).
-  private final val OpAdd = 0
-  private final val OpSub = 1
-  private final val OpMul = 2
-  private final val OpDiv = 3
-  private final val CEq = 0
-  private final val CNe = 1
-  private final val CLt = 2
-  private final val CLe = 3
-  private final val CGt = 4
-  private final val CGe = 5
-
   /** A fused node. After `ensure(lo, hi)`:
     *  - typed output lives in `outD`/`outL`/`outB` at offset `base`
     *    (leaves alias the input column with `base = lo`; computed nodes use
@@ -149,88 +137,65 @@ object ExprCompiler extends ExprBackend {
 
   // ---------------- numeric operators ----------------
 
-  private final class ArithD(op: Int, l: CE, r: CE) extends CE(DType.F64) {
-    outD = new Array[Double](Block)
+  // Arithmetic and comparison run TensorOps' op-coded range kernels on the
+  // block buffers, the same loops the interpreted path runs on whole columns.
+
+  private final class ArithNode(op: Int, l: CE, r: CE, dt: DType) extends CE(dt) {
+    private val asD = dt == DType.F64
+    if (asD) outD = new Array[Double](Block) else outL = new Array[Long](Block)
     private val nullBuf = new Array[Boolean](Block)
     protected def compute(lo: Int, hi: Int): Unit = {
       l.ensure(lo, hi); r.ensure(lo, hi)
       val n = hi - lo
-      val a = l.blockD(n); val ab = l.dBase
-      val b = r.blockD(n); val bb = r.dBase
       base = 0
-      var i = 0
-      (op: @annotation.switch) match {
-        case OpAdd => while (i < n) { outD(i) = a(ab + i) + b(bb + i); i += 1 }
-        case OpSub => while (i < n) { outD(i) = a(ab + i) - b(bb + i); i += 1 }
-        case OpMul => while (i < n) { outD(i) = a(ab + i) * b(bb + i); i += 1 }
-        case OpDiv => while (i < n) { outD(i) = a(ab + i) / b(bb + i); i += 1 }
-      }
       outNulls = orNulls(l.outNulls, r.outNulls, nullBuf, n)
+      if (asD) {
+        val a = l.blockD(n); val ab = l.dBase
+        val b = r.blockD(n); val bb = r.dBase
+        TensorOps.arith(op, a, ab, b, bb, outD, 0, n)
+        if (op == TensorOps.Div) outNulls = nullWhereZero(b, bb, outNulls, nullBuf, n)
+      } else {
+        val a = l.blockL(n); val ab = l.lBase
+        val b = r.blockL(n); val bb = r.lBase
+        TensorOps.arith(op, a, ab, b, bb, outL, 0, n)
+      }
     }
   }
 
-  private final class ArithL(op: Int, l: CE, r: CE) extends CE(DType.I64) {
-    outL = new Array[Long](Block)
-    private val nullBuf = new Array[Boolean](Block)
-    protected def compute(lo: Int, hi: Int): Unit = {
-      l.ensure(lo, hi); r.ensure(lo, hi)
-      val n = hi - lo
-      val a = l.blockL(n); val ab = l.lBase
-      val b = r.blockL(n); val bb = r.lBase
-      base = 0
-      var i = 0
-      (op: @annotation.switch) match {
-        case OpAdd => while (i < n) { outL(i) = a(ab + i) + b(bb + i); i += 1 }
-        case OpSub => while (i < n) { outL(i) = a(ab + i) - b(bb + i); i += 1 }
-        case OpMul => while (i < n) { outL(i) = a(ab + i) * b(bb + i); i += 1 }
-        case OpDiv => throw new IllegalStateException("int div is double")
-      }
-      outNulls = orNulls(l.outNulls, r.outNulls, nullBuf, n)
-    }
-  }
-
-  private final class CmpDNode(op: Int, l: CE, r: CE) extends CE(DType.Bool) {
+  private final class CmpNode(op: Int, l: CE, r: CE, asD: Boolean) extends CE(DType.Bool) {
     outB = new Array[Boolean](Block)
     private val nullBuf = new Array[Boolean](Block)
     protected def compute(lo: Int, hi: Int): Unit = {
       l.ensure(lo, hi); r.ensure(lo, hi)
       val n = hi - lo
-      val a = l.blockD(n); val ab = l.dBase
-      val b = r.blockD(n); val bb = r.dBase
       base = 0
-      var i = 0
-      (op: @annotation.switch) match {
-        case CEq => while (i < n) { outB(i) = a(ab + i) == b(bb + i); i += 1 }
-        case CNe => while (i < n) { outB(i) = a(ab + i) != b(bb + i); i += 1 }
-        case CLt => while (i < n) { outB(i) = a(ab + i) < b(bb + i); i += 1 }
-        case CLe => while (i < n) { outB(i) = a(ab + i) <= b(bb + i); i += 1 }
-        case CGt => while (i < n) { outB(i) = a(ab + i) > b(bb + i); i += 1 }
-        case CGe => while (i < n) { outB(i) = a(ab + i) >= b(bb + i); i += 1 }
+      if (asD) {
+        val a = l.blockD(n); val ab = l.dBase
+        val b = r.blockD(n); val bb = r.dBase
+        TensorOps.cmp(op, a, ab, b, bb, outB, 0, n)
+      } else {
+        val a = l.blockL(n); val ab = l.lBase
+        val b = r.blockL(n); val bb = r.lBase
+        TensorOps.cmp(op, a, ab, b, bb, outB, 0, n)
       }
       outNulls = orNulls(l.outNulls, r.outNulls, nullBuf, n)
     }
   }
 
-  private final class CmpLNode(op: Int, l: CE, r: CE) extends CE(DType.Bool) {
-    outB = new Array[Boolean](Block)
-    private val nullBuf = new Array[Boolean](Block)
-    protected def compute(lo: Int, hi: Int): Unit = {
-      l.ensure(lo, hi); r.ensure(lo, hi)
-      val n = hi - lo
-      val a = l.blockL(n); val ab = l.lBase
-      val b = r.blockL(n); val bb = r.lBase
-      base = 0
-      var i = 0
-      (op: @annotation.switch) match {
-        case CEq => while (i < n) { outB(i) = a(ab + i) == b(bb + i); i += 1 }
-        case CNe => while (i < n) { outB(i) = a(ab + i) != b(bb + i); i += 1 }
-        case CLt => while (i < n) { outB(i) = a(ab + i) < b(bb + i); i += 1 }
-        case CLe => while (i < n) { outB(i) = a(ab + i) <= b(bb + i); i += 1 }
-        case CGt => while (i < n) { outB(i) = a(ab + i) > b(bb + i); i += 1 }
-        case CGe => while (i < n) { outB(i) = a(ab + i) >= b(bb + i); i += 1 }
+  /** x / 0 is NULL (DuckDB; Spark's try_divide): marks the block's rows whose
+    * divisor is zero in `nulls` (or in `buf`, cleared first, if `nulls` is null).
+    */
+  private def nullWhereZero(b: Array[Double], bb: Int, nulls: Array[Boolean], buf: Array[Boolean], n: Int): Array[Boolean] = {
+    var out = nulls
+    var i = 0
+    while (i < n) {
+      if (b(bb + i) == 0.0) {
+        if (out == null) { java.util.Arrays.fill(buf, 0, n, false); out = buf }
+        out(i) = true
       }
-      outNulls = orNulls(l.outNulls, r.outNulls, nullBuf, n)
+      i += 1
     }
+    out
   }
 
   private def orNulls(a: Array[Boolean], b: Array[Boolean], buf: Array[Boolean], n: Int): Array[Boolean] = {
@@ -411,10 +376,9 @@ object ExprCompiler extends ExprBackend {
     protected def compute(lo: Int, hi: Int): Unit = {
       e.ensure(lo, hi)
       val n = hi - lo
-      val a = e.blockL(n); val ab = e.lBase
+      val a = e.blockL(n)
       base = 0
-      var i = 0
-      while (i < n) { outL(i) = java.time.LocalDate.ofEpochDay(a(ab + i)).getYear.toLong; i += 1 }
+      ExprEval.years(a, e.lBase, outL, 0, n)
       outNulls = e.outNulls
     }
   }
@@ -459,27 +423,15 @@ object ExprCompiler extends ExprBackend {
       }
     case AggRef(_, _) => throw new IllegalStateException("AggRef outside aggregation")
 
-    case a @ Arith(kind, l, r) =>
-      val lc = compile(l, table, env); val rc = compile(r, table, env)
-      val op = kind match { case AddK => OpAdd; case SubK => OpSub; case MulK => OpMul; case DivK => OpDiv }
-      if (a.dtype == DType.F64) new ArithD(op, lc, rc) else new ArithL(op, lc, rc)
+    case a @ Arith(kind, l, r) => new ArithNode(kind.op, compile(l, table, env), compile(r, table, env), a.dtype)
 
     case Neg(x) =>
-      val c = compile(x, table, env)
-      if (x.dtype == DType.F64) new ArithD(OpSub, new ConstD(0.0), c)
-      else new ArithL(OpSub, new ConstL(0L, DType.I64), c)
+      val minusOne = if (x.dtype == DType.F64) new ConstD(-1.0) else new ConstL(-1L, DType.I64)
+      new ArithNode(TensorOps.Mul, compile(x, table, env), minusOne, x.dtype)
 
-    case Cmp(_, l, r) if l.dtype == DType.Str || r.dtype == DType.Str =>
-      vectorFallback(e, table, env)
-
-    case Cmp(kind, l, r) =>
-      val lc = compile(l, table, env); val rc = compile(r, table, env)
-      val op = kind match {
-        case EqK => CEq; case NeK => CNe; case LtK => CLt
-        case LeK => CLe; case GtK => CGt; case GeK => CGe
-      }
-      if (l.dtype == DType.F64 || r.dtype == DType.F64) new CmpDNode(op, lc, rc)
-      else new CmpLNode(op, lc, rc)
+    case c: Cmp if c.operandType == DType.Str => vectorFallback(e, table, env)
+    case c @ Cmp(kind, l, r) =>
+      new CmpNode(kind.op, compile(l, table, env), compile(r, table, env), c.operandType == DType.F64)
 
     case And(l, r) => new AndNode(compile(l, table, env), compile(r, table, env))
     case Or(l, r)  => new OrNode(compile(l, table, env), compile(r, table, env))

@@ -50,23 +50,15 @@ object ExprEval extends ExprBackend {
     case ScalarSub(i, dt) => ScalarVal(env.subquery(i), dt)
     case AggRef(_, _)  => throw new IllegalStateException("AggRef outside aggregation")
 
-    case Arith(kind, l, r) => evalArith(kind, eval(l, table, env), eval(r, table, env))
+    case a @ Arith(kind, l, r) => evalArith(kind, a.dtype, eval(l, table, env), eval(r, table, env), table.numRows)
     case Neg(x) =>
-      eval(x, table, env) match {
-        case VecVal(c) if c.dtype == DType.F64 =>
-          VecVal(Column("", DType.F64, TensorOps.neg(c.f64), c.validity))
-        case VecVal(c) =>
-          VecVal(Column("", DType.I64, mapI64(c.i64)(v => -v), c.validity))
-        case ScalarVal(null, dt) => ScalarVal(null, dt)
-        case ScalarVal(v: java.lang.Double, dt) => ScalarVal(-v.doubleValue, dt)
-        case ScalarVal(v: java.lang.Long, dt)   => ScalarVal(-v.longValue, dt)
-        case other => throw new IllegalArgumentException(s"neg over $other")
-      }
+      val minusOne = if (x.dtype == DType.F64) ScalarVal(-1.0, DType.F64) else ScalarVal(-1L, DType.I64)
+      evalArith(MulK, x.dtype, eval(x, table, env), minusOne, table.numRows)
 
-    case Cmp(kind, l, r) => evalCmp(kind, eval(l, table, env), eval(r, table, env))
+    case c @ Cmp(_, l, r) => evalCmp(c, eval(l, table, env), eval(r, table, env), table.numRows)
 
-    case And(l, r) => evalBool2(eval(l, table, env), eval(r, table, env), table.numRows)(_ && _)
-    case Or(l, r)  => evalBool2(eval(l, table, env), eval(r, table, env), table.numRows)(_ || _)
+    case And(l, r) => evalBool2(eval(l, table, env), eval(r, table, env), table.numRows, isOr = false)
+    case Or(l, r)  => evalBool2(eval(l, table, env), eval(r, table, env), table.numRows, isOr = true)
     case Not(x) =>
       eval(x, table, env) match {
         case VecVal(c)        => VecVal(Column("", DType.Bool, TensorOps.logicalNot(c.bool), c.validity))
@@ -113,65 +105,32 @@ object ExprEval extends ExprBackend {
 
     case Year(x) =>
       val c = asVec(eval(x, table, env), table.numRows)
-      VecVal(Column("", DType.I64,
-        mapI64(c.i64)(d => java.time.LocalDate.ofEpochDay(d).getYear.toLong), c.validity))
+      val out = new Array[Long](c.length)
+      ExecCtx.current.device.parallelRanges(c.length) { (s, e) => years(c.i64.data, s, out, s, e - s) }
+      Profile.rec("year", OpClass.ElementWise, c.length, c.length * 16L)
+      VecVal(Column("", DType.I64, I64Tensor(out), c.validity))
+  }
+
+  /** `out(oOff + i)` = the calendar year of epoch day `days(dOff + i)`, for `i < n`. */
+  private[expr] def years(days: Array[Long], dOff: Int, out: Array[Long], oOff: Int, n: Int): Unit = {
+    var i = 0
+    while (i < n) { out(oOff + i) = java.time.LocalDate.ofEpochDay(days(dOff + i)).getYear.toLong; i += 1 }
   }
 
   // ----------------------------------------------------------------
-  // Kernel helpers
+  // Helpers
   // ----------------------------------------------------------------
-
-  private def mapI64(a: I64Tensor)(f: Long => Long): I64Tensor = {
-    val out = new Array[Long](a.length)
-    ExecCtx.current.device.parallelRanges(a.length) { (s, e) =>
-      var i = s; while (i < e) { out(i) = f(a.data(i)); i += 1 }
-    }
-    Profile.rec("map", OpClass.ElementWise, a.length, a.length * 16L)
-    I64Tensor(out)
-  }
-
-  private def mapF64FromI64(a: I64Tensor)(f: Long => Double): F64Tensor = {
-    val out = new Array[Double](a.length)
-    ExecCtx.current.device.parallelRanges(a.length) { (s, e) =>
-      var i = s; while (i < e) { out(i) = f(a.data(i)); i += 1 }
-    }
-    Profile.rec("map", OpClass.ElementWise, a.length, a.length * 16L)
-    F64Tensor(out)
-  }
-
-  private def mapF64(a: F64Tensor)(f: Double => Double): F64Tensor = {
-    val out = new Array[Double](a.length)
-    ExecCtx.current.device.parallelRanges(a.length) { (s, e) =>
-      var i = s; while (i < e) { out(i) = f(a.data(i)); i += 1 }
-    }
-    Profile.rec("map", OpClass.ElementWise, a.length, a.length * 16L)
-    F64Tensor(out)
-  }
-
-  private def cmpMaskF64(a: F64Tensor)(f: Double => Boolean): BoolTensor = {
-    val out = new Array[Boolean](a.length)
-    ExecCtx.current.device.parallelRanges(a.length) { (s, e) =>
-      var i = s; while (i < e) { out(i) = f(a.data(i)); i += 1 }
-    }
-    Profile.rec("cmp", OpClass.ElementWise, a.length, a.length * 9L)
-    BoolTensor(out)
-  }
-
-  private def cmpMaskI64(a: I64Tensor)(f: Long => Boolean): BoolTensor = {
-    val out = new Array[Boolean](a.length)
-    ExecCtx.current.device.parallelRanges(a.length) { (s, e) =>
-      var i = s; while (i < e) { out(i) = f(a.data(i)); i += 1 }
-    }
-    Profile.rec("cmp", OpClass.ElementWise, a.length, a.length * 9L)
-    BoolTensor(out)
-  }
 
   private def andValidity(a: Option[Array[Boolean]], b: Option[Array[Boolean]]): Option[Array[Boolean]] =
     (a, b) match {
       case (None, None)       => None
       case (Some(x), None)    => Some(x)
       case (None, Some(y))    => Some(y)
-      case (Some(x), Some(y)) => Some(Array.tabulate(x.length)(i => x(i) && y(i)))
+      case (Some(x), Some(y)) =>
+        val out = new Array[Boolean](x.length)
+        var i = 0
+        while (i < out.length) { out(i) = x(i) && y(i); i += 1 }
+        Some(out)
     }
 
   private def asVec(v: EvalVal, n: Int): Column = v match {
@@ -212,156 +171,109 @@ object ExprEval extends ExprBackend {
 
   private def isF64(dt: DType): Boolean = dt == DType.F64
 
-  // ----------------------------------------------------------------
-  // Arithmetic
-  // ----------------------------------------------------------------
+  private def validityOf(v: EvalVal): Option[Array[Boolean]] = v match {
+    case VecVal(c) => c.validity
+    case _         => None
+  }
 
-  private def evalArith(kind: ArithKind, lv: EvalVal, rv: EvalVal): EvalVal = {
-    val asDouble = kind == DivK || isF64(lv.dtype) || isF64(rv.dtype)
-    val nullOut  = ScalarVal(null, if (asDouble) DType.F64 else DType.I64)
+  /** A numeric operand as F64 (an I64 side is widened); a scalar is a one-element tensor. */
+  private def f64Of(v: EvalVal): F64Tensor = v match {
+    case VecVal(c)       => if (isF64(c.dtype)) c.f64 else TensorOps.toF64(c.i64)
+    case ScalarVal(x, _) => F64Tensor(Array(numAsDouble(x)))
+  }
+
+  private def i64Of(v: EvalVal): I64Tensor = v match {
+    case VecVal(c)       => c.i64
+    case ScalarVal(x, _) => I64Tensor(Array(numAsLong(x)))
+  }
+
+  /** NULL of type `dt`, a scalar if both operands are scalars. */
+  private def nullOf(dt: DType, lv: EvalVal, rv: EvalVal, n: Int): EvalVal = (lv, rv) match {
+    case (ScalarVal(_, _), ScalarVal(_, _)) => ScalarVal(null, dt)
+    case _                                  => VecVal(asVec(ScalarVal(null, dt), n))
+  }
+
+  /** A kernel's output: a scalar if both operands were scalars, else a column
+    * valid where both operands are valid and `valid` (if any) holds.
+    */
+  private def result(dt: DType, t: Tensor, lv: EvalVal, rv: EvalVal, valid: Option[BoolTensor]): EvalVal =
     (lv, rv) match {
-      case (ScalarVal(a, _), ScalarVal(b, _)) =>
-        if (a == null || b == null) nullOut
-        else if (asDouble) ScalarVal(opD(kind)(numAsDouble(a), numAsDouble(b)), DType.F64)
-        else ScalarVal(opL(kind)(numAsLong(a), numAsLong(b)), DType.I64)
-
-      case (VecVal(c), ScalarVal(b, _)) =>
-        if (b == null) VecVal(asVec(nullOut, c.length))
-        else if (asDouble) {
-          val bd = numAsDouble(b); val f = opD(kind)
-          val t = if (isF64(c.dtype)) mapF64(c.f64)(x => f(x, bd)) else mapF64FromI64(c.i64)(x => f(x.toDouble, bd))
-          VecVal(Column("", DType.F64, t, c.validity))
-        } else {
-          val bl = numAsLong(b); val f = opL(kind)
-          VecVal(Column("", DType.I64, mapI64(c.i64)(x => f(x, bl)), c.validity))
-        }
-
-      case (ScalarVal(a, _), VecVal(c)) =>
-        if (a == null) VecVal(asVec(nullOut, c.length))
-        else if (asDouble) {
-          val ad = numAsDouble(a); val f = opD(kind)
-          val t = if (isF64(c.dtype)) mapF64(c.f64)(x => f(ad, x)) else mapF64FromI64(c.i64)(x => f(ad, x.toDouble))
-          VecVal(Column("", DType.F64, t, c.validity))
-        } else {
-          val al = numAsLong(a); val f = opL(kind)
-          VecVal(Column("", DType.I64, mapI64(c.i64)(x => f(al, x)), c.validity))
-        }
-
-      case (VecVal(a), VecVal(b)) =>
-        val validity = andValidity(a.validity, b.validity)
-        if (asDouble) {
-          val af = if (isF64(a.dtype)) a.f64 else TensorOps.toF64(a.i64)
-          val bf = if (isF64(b.dtype)) b.f64 else TensorOps.toF64(b.i64)
-          val t = kind match {
-            case AddK => TensorOps.add(af, bf)
-            case SubK => TensorOps.sub(af, bf)
-            case MulK => TensorOps.mul(af, bf)
-            case DivK => TensorOps.div(af, bf)
-          }
-          VecVal(Column("", DType.F64, t, validity))
-        } else {
-          val t = kind match {
-            case AddK => TensorOps.add(a.i64, b.i64)
-            case SubK => TensorOps.sub(a.i64, b.i64)
-            case MulK => TensorOps.mul(a.i64, b.i64)
-            case DivK => throw new IllegalStateException("int div handled as double")
-          }
-          VecVal(Column("", DType.I64, t, validity))
-        }
-    }
-  }
-
-  private def opD(kind: ArithKind): (Double, Double) => Double = kind match {
-    case AddK => _ + _; case SubK => _ - _; case MulK => _ * _; case DivK => _ / _
-  }
-  private def opL(kind: ArithKind): (Long, Long) => Long = kind match {
-    case AddK => _ + _; case SubK => _ - _; case MulK => _ * _
-    case DivK => throw new IllegalStateException("int div handled as double")
-  }
-
-  // ----------------------------------------------------------------
-  // Comparison
-  // ----------------------------------------------------------------
-
-  private def evalCmp(kind: CmpKind, lv: EvalVal, rv: EvalVal): EvalVal = {
-    def cmpOp: (Int, Int) => Boolean = kind match {
-      case EqK => _ == _; case NeK => _ != _
-      case LtK => _ < _;  case LeK => _ <= _
-      case GtK => _ > _;  case GeK => _ >= _
-    }
-    (lv, rv) match {
-      case (ScalarVal(a, adt), ScalarVal(b, _)) =>
-        if (a == null || b == null) ScalarVal(null, DType.Bool)
-        else adt match {
-          case DType.Str => ScalarVal(cmpOp(a.asInstanceOf[String].compareTo(b.asInstanceOf[String]), 0), DType.Bool)
-          case DType.F64 => ScalarVal(cmpOp(java.lang.Double.compare(numAsDouble(a), numAsDouble(b)), 0), DType.Bool)
-          case _         => ScalarVal(cmpOp(java.lang.Long.compare(numAsLong(a), numAsLong(b)), 0), DType.Bool)
-        }
-
-      case (VecVal(c), ScalarVal(b, _)) => cmpVecScalar(kind, c, b, flipped = false)
-      case (ScalarVal(a, _), VecVal(c)) => cmpVecScalar(kind, c, a, flipped = true)
-
-      case (VecVal(a), VecVal(b)) =>
-        val validity = andValidity(a.validity, b.validity)
-        val mask: BoolTensor = (a.dtype, b.dtype) match {
-          case (DType.Str, DType.Str) =>
-            kind match {
-              case EqK => StringTensor.eqCols(a.str, b.str)
-              case NeK => TensorOps.logicalNot(StringTensor.eqCols(a.str, b.str))
-              case _   => throw new IllegalArgumentException("string ordering between columns unsupported")
-            }
-          case (da, db) if da == DType.F64 || db == DType.F64 =>
-            val af = if (isF64(da)) a.f64 else TensorOps.toF64(a.i64)
-            val bf = if (isF64(db)) b.f64 else TensorOps.toF64(b.i64)
-            kind match {
-              case EqK => TensorOps.eq(af, bf); case NeK => TensorOps.ne(af, bf)
-              case LtK => TensorOps.lt(af, bf); case LeK => TensorOps.le(af, bf)
-              case GtK => TensorOps.gt(af, bf); case GeK => TensorOps.ge(af, bf)
-            }
-          case _ =>
-            kind match {
-              case EqK => TensorOps.eq(a.i64, b.i64); case NeK => TensorOps.ne(a.i64, b.i64)
-              case LtK => TensorOps.lt(a.i64, b.i64); case LeK => TensorOps.le(a.i64, b.i64)
-              case GtK => TensorOps.gt(a.i64, b.i64); case GeK => TensorOps.ge(a.i64, b.i64)
-            }
-        }
-        VecVal(Column("", DType.Bool, mask, validity))
-    }
-  }
-
-  private def cmpVecScalar(kind: CmpKind, c: Column, b: Any, flipped: Boolean): EvalVal = {
-    if (b == null) return VecVal(asVec(ScalarVal(null, DType.Bool), c.length))
-    // When the scalar was on the left, compare(scalar, x) = -compare(x, scalar).
-    def k: CmpKind = if (!flipped) kind else kind match {
-      case LtK => GtK; case LeK => GeK; case GtK => LtK; case GeK => LeK; case other => other
-    }
-    val mask: BoolTensor = c.dtype match {
-      case DType.Str =>
-        val s = b.asInstanceOf[String]
-        k match {
-          case EqK => StringTensor.eqConst(c.str, s)
-          case NeK => TensorOps.logicalNot(StringTensor.eqConst(c.str, s))
-          case LtK => StringTensor.cmpConst(c.str, s, _ < _)
-          case LeK => StringTensor.cmpConst(c.str, s, _ <= _)
-          case GtK => StringTensor.cmpConst(c.str, s, _ > _)
-          case GeK => StringTensor.cmpConst(c.str, s, _ >= _)
-        }
-      case DType.F64 =>
-        val v = numAsDouble(b)
-        k match {
-          case EqK => cmpMaskF64(c.f64)(_ == v); case NeK => cmpMaskF64(c.f64)(_ != v)
-          case LtK => cmpMaskF64(c.f64)(_ < v);  case LeK => cmpMaskF64(c.f64)(_ <= v)
-          case GtK => cmpMaskF64(c.f64)(_ > v);  case GeK => cmpMaskF64(c.f64)(_ >= v)
-        }
+      case (ScalarVal(_, _), ScalarVal(_, _)) =>
+        ScalarVal(t match {
+          case F64Tensor(d)  => d(0)
+          case I64Tensor(d)  => d(0)
+          case BoolTensor(d) => d(0)
+          case other         => throw new IllegalStateException(s"scalar result $other")
+        }, dt)
       case _ =>
-        val v = numAsLong(b)
-        k match {
-          case EqK => cmpMaskI64(c.i64)(_ == v); case NeK => cmpMaskI64(c.i64)(_ != v)
-          case LtK => cmpMaskI64(c.i64)(_ < v);  case LeK => cmpMaskI64(c.i64)(_ <= v)
-          case GtK => cmpMaskI64(c.i64)(_ > v);  case GeK => cmpMaskI64(c.i64)(_ >= v)
-        }
+        val validity = andValidity(andValidity(validityOf(lv), validityOf(rv)), valid.map(_.data))
+        VecVal(Column("", dt, t, validity))
     }
-    VecVal(Column("", DType.Bool, mask, c.validity))
+
+  private def isNullScalar(v: EvalVal): Boolean = v match {
+    case ScalarVal(null, _) => true
+    case _                  => false
+  }
+
+  // ----------------------------------------------------------------
+  // Arithmetic and comparison: one TensorOps kernel per node
+  // ----------------------------------------------------------------
+
+  private val ZeroF64 = F64Tensor(Array(0.0))
+
+  private def evalArith(kind: ArithKind, dt: DType, lv: EvalVal, rv: EvalVal, n: Int): EvalVal = rv match {
+    case _ if isNullScalar(lv) || isNullScalar(rv) => nullOf(dt, lv, rv, n)
+    // x / 0 is NULL (DuckDB; Spark's try_divide), not ±Infinity or NaN.
+    case ScalarVal(z, _) if kind == DivK && numAsDouble(z) == 0.0 => nullOf(dt, lv, rv, n)
+    case _ if dt == DType.F64 =>
+      val b = f64Of(rv)
+      val out = TensorOps.arith(kind.op, f64Of(lv), b)
+      val nonZero = rv match {
+        case VecVal(_) if kind == DivK => Some(TensorOps.cmp(TensorOps.Ne, b, ZeroF64))
+        case _                         => None
+      }
+      result(dt, out, lv, rv, nonZero)
+    case _ => result(dt, TensorOps.arith(kind.op, i64Of(lv), i64Of(rv)), lv, rv, None)
+  }
+
+  private def evalCmp(c: Cmp, lv: EvalVal, rv: EvalVal, n: Int): EvalVal =
+    if (isNullScalar(lv) || isNullScalar(rv)) nullOf(DType.Bool, lv, rv, n)
+    else {
+      val mask = c.operandType match {
+        case DType.Str => strCmp(c.kind, lv, rv)
+        case DType.F64 => TensorOps.cmp(c.kind.op, f64Of(lv), f64Of(rv))
+        case _         => TensorOps.cmp(c.kind.op, i64Of(lv), i64Of(rv))
+      }
+      result(DType.Bool, mask, lv, rv, None)
+    }
+
+  private def strOf(v: EvalVal): StringTensor = v match {
+    case VecVal(c)       => c.str
+    case ScalarVal(s, _) => StringTensor.fromStrings(Array(s.asInstanceOf[String]))
+  }
+
+  private def strCmp(kind: CmpKind, lv: EvalVal, rv: EvalVal): BoolTensor = (lv, rv) match {
+    case (VecVal(a), VecVal(b)) =>
+      kind match {
+        case EqK => StringTensor.eqCols(a.str, b.str)
+        case NeK => TensorOps.logicalNot(StringTensor.eqCols(a.str, b.str))
+        case _   => throw new IllegalArgumentException("string ordering between columns unsupported")
+      }
+    case (_, ScalarVal(s: String, _)) => strCmpConst(kind, strOf(lv), s)
+    // compare(s, x) = -compare(x, s): flip the ordering when the constant is on the left.
+    case (ScalarVal(s: String, _), _) =>
+      strCmpConst(kind match { case LtK => GtK; case LeK => GeK; case GtK => LtK; case GeK => LeK; case k => k },
+        strOf(rv), s)
+    case other => throw new IllegalArgumentException(s"string comparison over $other")
+  }
+
+  private def strCmpConst(kind: CmpKind, t: StringTensor, s: String): BoolTensor = kind match {
+    case EqK => StringTensor.eqConst(t, s)
+    case NeK => TensorOps.logicalNot(StringTensor.eqConst(t, s))
+    case LtK => StringTensor.cmpConst(t, s, _ < _)
+    case LeK => StringTensor.cmpConst(t, s, _ <= _)
+    case GtK => StringTensor.cmpConst(t, s, _ > _)
+    case GeK => StringTensor.cmpConst(t, s, _ >= _)
   }
 
   // ----------------------------------------------------------------
@@ -371,19 +283,19 @@ object ExprEval extends ExprBackend {
   /** SQL three-valued AND/OR (Kleene): null OR true = true, null AND false
     * = false; null only survives when the known operand cannot decide.
     */
-  private def evalBool2(lv: EvalVal, rv: EvalVal, n: Int)(f: (Boolean, Boolean) => Boolean): EvalVal =
+  private def evalBool2(lv: EvalVal, rv: EvalVal, n: Int, isOr: Boolean): EvalVal =
     (lv, rv) match {
       case (ScalarVal(a, _), ScalarVal(b, _)) =>
-        val isOr = f(true, false)
         (a, b) match {
           case (null, null) => ScalarVal(null, DType.Bool)
           case (null, x: java.lang.Boolean) => if (x == isOr) ScalarVal(isOr, DType.Bool) else ScalarVal(null, DType.Bool)
           case (x: java.lang.Boolean, null) => if (x == isOr) ScalarVal(isOr, DType.Bool) else ScalarVal(null, DType.Bool)
-          case _ => ScalarVal(f(a.asInstanceOf[Boolean], b.asInstanceOf[Boolean]), DType.Bool)
+          case _ =>
+            val (x, y) = (a.asInstanceOf[Boolean], b.asInstanceOf[Boolean])
+            ScalarVal(if (isOr) x || y else x && y, DType.Bool)
         }
       case _ =>
         val a = asVec(lv, n); val b = asVec(rv, n)
-        val isOr = f(true, false)
         if (a.validity.isEmpty && b.validity.isEmpty) {
           val t = if (isOr) TensorOps.logicalOr(a.bool, b.bool)
                   else TensorOps.logicalAnd(a.bool, b.bool)
@@ -418,8 +330,8 @@ object ExprEval extends ExprBackend {
       val masks = values.map(v => StringTensor.eqConst(c.str, v.asInstanceOf[String]))
       Column("", DType.Bool, masks.reduce(TensorOps.logicalOr), c.validity)
     case DType.F64 =>
-      val set = values.map(numAsDouble).toSet
-      Column("", DType.Bool, cmpMaskF64(c.f64)(set.contains), c.validity)
+      val masks = values.map(v => TensorOps.cmp(TensorOps.Eq, c.f64, F64Tensor(Array(numAsDouble(v)))))
+      Column("", DType.Bool, masks.reduce(TensorOps.logicalOr), c.validity)
     case _ =>
       Column("", DType.Bool, TensorOps.isin(c.i64, values.map(numAsLong).toArray), c.validity)
   }

@@ -6,9 +6,9 @@ package repro.tensor
   * (§5.4); PyTorch's CPU sort is likewise single-threaded — we keep that
   * property so the reproduction exhibits the same multi-core scaling wall.
   *
-  * Keys are mapped to an unsigned-comparable domain (sign-bit flip for
-  * longs, IEEE total-order transform for doubles), then sorted with 8-bit
-  * digits, skipping passes whose digit is constant.
+  * Keys are mapped to an unsigned-comparable domain (sign-bit flip), then
+  * sorted with 8-bit digits, skipping passes whose digit is constant. Doubles
+  * are sorted as `KeyEncoder.toOrderedI64` longs.
   */
 object RadixSort {
 
@@ -21,20 +21,6 @@ object RadixSort {
       while (i < n) { u(i) = ~(keys(i) ^ Long.MinValue); i += 1 }
     } else {
       while (i < n) { u(i) = keys(i) ^ Long.MinValue; i += 1 }
-    }
-    argsortUnsigned(u)
-  }
-
-  /** Argsort doubles under IEEE-754 total order (NaN sorts last ascending). */
-  def argsortDouble(keys: Array[Double], descending: Boolean): Array[Long] = {
-    val n = keys.length
-    val u = new Array[Long](n)
-    var i = 0
-    while (i < n) {
-      val bits = java.lang.Double.doubleToRawLongBits(keys(i))
-      val s    = if (bits < 0) ~bits else bits ^ Long.MinValue
-      u(i) = if (descending) ~s else s
-      i += 1
     }
     argsortUnsigned(u)
   }

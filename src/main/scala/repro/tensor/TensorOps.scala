@@ -1,5 +1,6 @@
 package repro.tensor
 
+import scala.annotation.switch
 import OpClass._
 
 /** The tensor operation surface of the reproduction's TCR.
@@ -31,67 +32,184 @@ object TensorOps {
   }
 
   // ------------------------------------------------------------------
-  // Element-wise arithmetic
+  // Element-wise binary ops: one op-coded kernel per element type
   // ------------------------------------------------------------------
 
-  private def zipF64(name: String, a: Array[Double], b: Array[Double])(f: (Double, Double) => Double): F64Tensor = {
-    require(a.length == b.length, s"$name: length mismatch ${a.length} vs ${b.length}")
-    val out = new Array[Double](a.length)
-    ExecCtx.current.device.parallelRanges(a.length) { (s, e) =>
-      var i = s; while (i < e) { out(i) = f(a(i), b(i)); i += 1 }
+  // Op codes. Literal `final val`s, so each `(op: @switch)` is a tableswitch
+  // and every (op, type) pair runs its own loop with no per-element dispatch.
+  final val Add = 0
+  final val Sub = 1
+  final val Mul = 2
+  final val Div = 3
+  final val FloorDiv = 4
+  final val Mod = 5
+
+  final val Eq = 0
+  final val Ne = 1
+  final val Lt = 2
+  final val Le = 3
+  final val Gt = 4
+  final val Ge = 5
+
+  private val arithNames = Array("add", "sub", "mul", "div", "floorDiv", "remainder")
+  private val cmpNames   = Array("eq", "ne", "lt", "le", "gt", "ge")
+
+  /** `out(oOff + i) = a(aOff + i) op b(bOff + i)` for `i < n`; `op` is Add, Sub, Mul or Div. */
+  def arith(op: Int, a: Array[Double], aOff: Int, b: Array[Double], bOff: Int,
+            out: Array[Double], oOff: Int, n: Int): Unit = {
+    var i = 0
+    (op: @switch) match {
+      case Add => while (i < n) { out(oOff + i) = a(aOff + i) + b(bOff + i); i += 1 }
+      case Sub => while (i < n) { out(oOff + i) = a(aOff + i) - b(bOff + i); i += 1 }
+      case Mul => while (i < n) { out(oOff + i) = a(aOff + i) * b(bOff + i); i += 1 }
+      case Div => while (i < n) { out(oOff + i) = a(aOff + i) / b(bOff + i); i += 1 }
+      case _   => throw new IllegalArgumentException(s"F64 ${arithNames(op)} unsupported")
     }
-    Profile.rec(name, ElementWise, a.length, a.length * 24L)
+  }
+
+  /** `out(oOff + i) = a(aOff + i) op b(bOff + i)` for `i < n`; `op` is Add, Sub,
+    * Mul, FloorDiv or Mod (floor semantics, the sign of the divisor, like
+    * `torch.remainder`).
+    */
+  def arith(op: Int, a: Array[Long], aOff: Int, b: Array[Long], bOff: Int,
+            out: Array[Long], oOff: Int, n: Int): Unit = {
+    var i = 0
+    (op: @switch) match {
+      case Add      => while (i < n) { out(oOff + i) = a(aOff + i) + b(bOff + i); i += 1 }
+      case Sub      => while (i < n) { out(oOff + i) = a(aOff + i) - b(bOff + i); i += 1 }
+      case Mul      => while (i < n) { out(oOff + i) = a(aOff + i) * b(bOff + i); i += 1 }
+      case FloorDiv => while (i < n) { out(oOff + i) = Math.floorDiv(a(aOff + i), b(bOff + i)); i += 1 }
+      case Mod      => while (i < n) { out(oOff + i) = Math.floorMod(a(aOff + i), b(bOff + i)); i += 1 }
+      case _        => throw new IllegalArgumentException(s"I64 ${arithNames(op)} unsupported")
+    }
+  }
+
+  /** `out(oOff + i) = a(aOff + i) op b(bOff + i)` for `i < n` (IEEE: NaN is unequal to everything, -0.0 == 0.0). */
+  def cmp(op: Int, a: Array[Double], aOff: Int, b: Array[Double], bOff: Int,
+          out: Array[Boolean], oOff: Int, n: Int): Unit = {
+    var i = 0
+    (op: @switch) match {
+      case Eq => while (i < n) { out(oOff + i) = a(aOff + i) == b(bOff + i); i += 1 }
+      case Ne => while (i < n) { out(oOff + i) = a(aOff + i) != b(bOff + i); i += 1 }
+      case Lt => while (i < n) { out(oOff + i) = a(aOff + i) < b(bOff + i); i += 1 }
+      case Le => while (i < n) { out(oOff + i) = a(aOff + i) <= b(bOff + i); i += 1 }
+      case Gt => while (i < n) { out(oOff + i) = a(aOff + i) > b(bOff + i); i += 1 }
+      case Ge => while (i < n) { out(oOff + i) = a(aOff + i) >= b(bOff + i); i += 1 }
+    }
+  }
+
+  /** `out(oOff + i) = a(aOff + i) op b(bOff + i)` for `i < n`. */
+  def cmp(op: Int, a: Array[Long], aOff: Int, b: Array[Long], bOff: Int,
+          out: Array[Boolean], oOff: Int, n: Int): Unit = {
+    var i = 0
+    (op: @switch) match {
+      case Eq => while (i < n) { out(oOff + i) = a(aOff + i) == b(bOff + i); i += 1 }
+      case Ne => while (i < n) { out(oOff + i) = a(aOff + i) != b(bOff + i); i += 1 }
+      case Lt => while (i < n) { out(oOff + i) = a(aOff + i) < b(bOff + i); i += 1 }
+      case Le => while (i < n) { out(oOff + i) = a(aOff + i) <= b(bOff + i); i += 1 }
+      case Gt => while (i < n) { out(oOff + i) = a(aOff + i) > b(bOff + i); i += 1 }
+      case Ge => while (i < n) { out(oOff + i) = a(aOff + i) >= b(bOff + i); i += 1 }
+    }
+  }
+
+  // Tensor-level ops. Operand lengths must match, or one side holds one
+  // element and is broadcast (PyTorch semantics). A broadcast element is read
+  // from one filled buffer of at most `Bcast` elements at offset 0, so the
+  // range kernels run on `Bcast`-sized pieces of each chunk.
+
+  private final val Bcast = 4096
+
+  private trait RangeKernel { def run(aOff: Int, bOff: Int, oOff: Int, n: Int): Unit }
+
+  private def broadcastLength(name: String, la: Int, lb: Int): Int =
+    if (la == lb || lb == 1) la
+    else if (la == 1) lb
+    else throw new IllegalArgumentException(s"$name: length mismatch $la vs $lb")
+
+  private def filled(a: Array[Double], n: Int): Array[Double] =
+    if (a.length == n) a else { val f = new Array[Double](math.min(n, Bcast)); java.util.Arrays.fill(f, a(0)); f }
+
+  private def filled(a: Array[Long], n: Int): Array[Long] =
+    if (a.length == n) a else { val f = new Array[Long](math.min(n, Bcast)); java.util.Arrays.fill(f, a(0)); f }
+
+  /** Runs `k` over `[0, n)` chunk-parallel; an operand of length `< n` is a broadcast buffer. */
+  private def runBinary(n: Int, la: Int, lb: Int)(k: RangeKernel): Unit =
+    ExecCtx.current.device.parallelRanges(n) { (s, e) =>
+      if (la == n && lb == n) k.run(s, s, s, e - s)
+      else {
+        var lo = s
+        while (lo < e) {
+          val len = math.min(Bcast, e - lo)
+          k.run(if (la == n) lo else 0, if (lb == n) lo else 0, lo, len)
+          lo += len
+        }
+      }
+    }
+
+  /** One record per call: 8 bytes per element for each full-length input, plus the output. */
+  private def recBinary(name: String, n: Int, la: Int, lb: Int, outBytes: Long): Unit =
+    Profile.rec(name, ElementWise, n, n * ((if (la == n) 8L else 0L) + (if (lb == n) 8L else 0L) + outBytes))
+
+  def arith(op: Int, a: F64Tensor, b: F64Tensor): F64Tensor = {
+    val n = broadcastLength(arithNames(op), a.length, b.length)
+    val x = filled(a.data, n); val y = filled(b.data, n)
+    val out = new Array[Double](n)
+    runBinary(n, x.length, y.length)((ao, bo, oo, len) => arith(op, x, ao, y, bo, out, oo, len))
+    recBinary(arithNames(op), n, a.length, b.length, 8L)
     F64Tensor(out)
   }
 
-  private def zipI64(name: String, a: Array[Long], b: Array[Long])(f: (Long, Long) => Long): I64Tensor = {
-    require(a.length == b.length, s"$name: length mismatch ${a.length} vs ${b.length}")
-    val out = new Array[Long](a.length)
-    ExecCtx.current.device.parallelRanges(a.length) { (s, e) =>
-      var i = s; while (i < e) { out(i) = f(a(i), b(i)); i += 1 }
-    }
-    Profile.rec(name, ElementWise, a.length, a.length * 24L)
+  def arith(op: Int, a: I64Tensor, b: I64Tensor): I64Tensor = {
+    val n = broadcastLength(arithNames(op), a.length, b.length)
+    val x = filled(a.data, n); val y = filled(b.data, n)
+    val out = new Array[Long](n)
+    runBinary(n, x.length, y.length)((ao, bo, oo, len) => arith(op, x, ao, y, bo, out, oo, len))
+    recBinary(arithNames(op), n, a.length, b.length, 8L)
     I64Tensor(out)
   }
 
-  def add(a: F64Tensor, b: F64Tensor): F64Tensor = zipF64("add", a.data, b.data)(_ + _)
-  def sub(a: F64Tensor, b: F64Tensor): F64Tensor = zipF64("sub", a.data, b.data)(_ - _)
-  def mul(a: F64Tensor, b: F64Tensor): F64Tensor = zipF64("mul", a.data, b.data)(_ * _)
-  def div(a: F64Tensor, b: F64Tensor): F64Tensor = zipF64("div", a.data, b.data)(_ / _)
-
-  def add(a: I64Tensor, b: I64Tensor): I64Tensor = zipI64("add", a.data, b.data)(_ + _)
-  def sub(a: I64Tensor, b: I64Tensor): I64Tensor = zipI64("sub", a.data, b.data)(_ - _)
-  def mul(a: I64Tensor, b: I64Tensor): I64Tensor = zipI64("mul", a.data, b.data)(_ * _)
-  def remainder(a: I64Tensor, m: Long): I64Tensor = {
-    val out = new Array[Long](a.length)
-    ExecCtx.current.device.parallelRanges(a.length) { (s, e) =>
-      var i = s; while (i < e) { val r = a.data(i) % m; out(i) = if (r < 0) r + m else r; i += 1 }
-    }
-    Profile.rec("remainder", ElementWise, a.length, a.length * 16L)
-    I64Tensor(out)
+  /** Comparison → boolean bitmap (the paper's filter representation, §3.1). */
+  def cmp(op: Int, a: F64Tensor, b: F64Tensor): BoolTensor = {
+    val n = broadcastLength(cmpNames(op), a.length, b.length)
+    val x = filled(a.data, n); val y = filled(b.data, n)
+    val out = new Array[Boolean](n)
+    runBinary(n, x.length, y.length)((ao, bo, oo, len) => cmp(op, x, ao, y, bo, out, oo, len))
+    recBinary(cmpNames(op), n, a.length, b.length, 1L)
+    BoolTensor(out)
   }
+
+  def cmp(op: Int, a: I64Tensor, b: I64Tensor): BoolTensor = {
+    val n = broadcastLength(cmpNames(op), a.length, b.length)
+    val x = filled(a.data, n); val y = filled(b.data, n)
+    val out = new Array[Boolean](n)
+    runBinary(n, x.length, y.length)((ao, bo, oo, len) => cmp(op, x, ao, y, bo, out, oo, len))
+    recBinary(cmpNames(op), n, a.length, b.length, 1L)
+    BoolTensor(out)
+  }
+
+  // PyTorch-named forwards.
+  def sub(a: F64Tensor, b: F64Tensor): F64Tensor = arith(Sub, a, b)
+  def mul(a: F64Tensor, b: F64Tensor): F64Tensor = arith(Mul, a, b)
+  def div(a: F64Tensor, b: F64Tensor): F64Tensor = arith(Div, a, b)
+  def addScalar(a: F64Tensor, v: Double): F64Tensor = arith(Add, a, F64Tensor(Array(v)))
+  /** Exact IEEE negation (`-0.0` included): multiplication by −1. */
+  def neg(a: F64Tensor): F64Tensor = arith(Mul, a, F64Tensor(Array(-1.0)))
+
+  def add(a: I64Tensor, b: I64Tensor): I64Tensor = arith(Add, a, b)
+  def sub(a: I64Tensor, b: I64Tensor): I64Tensor = arith(Sub, a, b)
+  def mul(a: I64Tensor, b: I64Tensor): I64Tensor = arith(Mul, a, b)
   /** Integer floor division (used by Algorithm 1, line 13). */
-  def floorDiv(a: I64Tensor, b: I64Tensor): I64Tensor = zipI64("floorDiv", a.data, b.data)(Math.floorDiv)
+  def floorDiv(a: I64Tensor, b: I64Tensor): I64Tensor = arith(FloorDiv, a, b)
   /** Element-wise remainder (Algorithm 1, line 14). */
-  def remainder(a: I64Tensor, b: I64Tensor): I64Tensor = zipI64("remainder", a.data, b.data)(Math.floorMod)
+  def remainder(a: I64Tensor, b: I64Tensor): I64Tensor = arith(Mod, a, b)
+  def remainder(a: I64Tensor, m: Long): I64Tensor = arith(Mod, a, I64Tensor(Array(m)))
 
-  def addScalar(a: F64Tensor, v: Double): F64Tensor = {
-    val out = new Array[Double](a.length)
-    ExecCtx.current.device.parallelRanges(a.length) { (s, e) =>
-      var i = s; while (i < e) { out(i) = a.data(i) + v; i += 1 }
-    }
-    Profile.rec("addScalar", ElementWise, a.length, a.length * 16L)
-    F64Tensor(out)
-  }
-
-  def neg(a: F64Tensor): F64Tensor = {
-    val out = new Array[Double](a.length)
-    ExecCtx.current.device.parallelRanges(a.length) { (s, e) =>
-      var i = s; while (i < e) { out(i) = -a.data(i); i += 1 }
-    }
-    Profile.rec("neg", ElementWise, a.length, a.length * 16L)
-    F64Tensor(out)
-  }
+  def ge(a: F64Tensor, b: F64Tensor): BoolTensor = cmp(Ge, a, b)
+  def le(a: F64Tensor, b: F64Tensor): BoolTensor = cmp(Le, a, b)
+  def ltScalar(a: F64Tensor, v: Double): BoolTensor = cmp(Lt, a, F64Tensor(Array(v)))
+  def eq(a: I64Tensor, b: I64Tensor): BoolTensor = cmp(Eq, a, b)
+  def lt(a: I64Tensor, b: I64Tensor): BoolTensor = cmp(Lt, a, b)
+  def ge(a: I64Tensor, b: I64Tensor): BoolTensor = cmp(Ge, a, b)
 
   def toF64(a: I64Tensor): F64Tensor = {
     val out = new Array[Double](a.length)
@@ -109,53 +227,6 @@ object TensorOps {
     }
     Profile.rec("cast", ElementWise, a.length, a.length * 16L)
     I64Tensor(out)
-  }
-
-  // ------------------------------------------------------------------
-  // Comparison → boolean bitmaps (the paper's filter representation, §3.1)
-  // ------------------------------------------------------------------
-
-  private def cmpF64(name: String, a: Array[Double], b: Array[Double])(f: (Double, Double) => Boolean): BoolTensor = {
-    require(a.length == b.length, s"$name: length mismatch")
-    val out = new Array[Boolean](a.length)
-    ExecCtx.current.device.parallelRanges(a.length) { (s, e) =>
-      var i = s; while (i < e) { out(i) = f(a(i), b(i)); i += 1 }
-    }
-    Profile.rec(name, ElementWise, a.length, a.length * 17L)
-    BoolTensor(out)
-  }
-
-  private def cmpI64(name: String, a: Array[Long], b: Array[Long])(f: (Long, Long) => Boolean): BoolTensor = {
-    require(a.length == b.length, s"$name: length mismatch")
-    val out = new Array[Boolean](a.length)
-    ExecCtx.current.device.parallelRanges(a.length) { (s, e) =>
-      var i = s; while (i < e) { out(i) = f(a(i), b(i)); i += 1 }
-    }
-    Profile.rec(name, ElementWise, a.length, a.length * 17L)
-    BoolTensor(out)
-  }
-
-  def lt(a: F64Tensor, b: F64Tensor): BoolTensor = cmpF64("lt", a.data, b.data)(_ < _)
-  def le(a: F64Tensor, b: F64Tensor): BoolTensor = cmpF64("le", a.data, b.data)(_ <= _)
-  def gt(a: F64Tensor, b: F64Tensor): BoolTensor = cmpF64("gt", a.data, b.data)(_ > _)
-  def ge(a: F64Tensor, b: F64Tensor): BoolTensor = cmpF64("ge", a.data, b.data)(_ >= _)
-  def eq(a: F64Tensor, b: F64Tensor): BoolTensor = cmpF64("eq", a.data, b.data)(_ == _)
-  def ne(a: F64Tensor, b: F64Tensor): BoolTensor = cmpF64("ne", a.data, b.data)(_ != _)
-
-  def lt(a: I64Tensor, b: I64Tensor): BoolTensor = cmpI64("lt", a.data, b.data)(_ < _)
-  def le(a: I64Tensor, b: I64Tensor): BoolTensor = cmpI64("le", a.data, b.data)(_ <= _)
-  def gt(a: I64Tensor, b: I64Tensor): BoolTensor = cmpI64("gt", a.data, b.data)(_ > _)
-  def ge(a: I64Tensor, b: I64Tensor): BoolTensor = cmpI64("ge", a.data, b.data)(_ >= _)
-  def eq(a: I64Tensor, b: I64Tensor): BoolTensor = cmpI64("eq", a.data, b.data)(_ == _)
-  def ne(a: I64Tensor, b: I64Tensor): BoolTensor = cmpI64("ne", a.data, b.data)(_ != _)
-
-  def ltScalar(a: F64Tensor, v: Double): BoolTensor = {
-    val out = new Array[Boolean](a.length)
-    ExecCtx.current.device.parallelRanges(a.length) { (s, e) =>
-      var i = s; while (i < e) { out(i) = a.data(i) < v; i += 1 }
-    }
-    Profile.rec("lt", ElementWise, a.length, a.length * 9L)
-    BoolTensor(out)
   }
 
   /** Membership in a small constant set (the paper's IN support). */
@@ -317,14 +388,6 @@ object TensorOps {
     I64Tensor(out)
   }
 
-  def cat(a: F64Tensor, b: F64Tensor): F64Tensor = {
-    val out = new Array[Double](a.length + b.length)
-    System.arraycopy(a.data, 0, out, 0, a.length)
-    System.arraycopy(b.data, 0, out, a.length, b.length)
-    Profile.rec("cat", Materialize, out.length, out.length * 16L)
-    F64Tensor(out)
-  }
-
   // ------------------------------------------------------------------
   // Sort (radix argsort — the paper's aggregation uses radix sort, §5.4)
   // ------------------------------------------------------------------
@@ -338,17 +401,6 @@ object TensorOps {
   def argsortDescending(keys: I64Tensor): I64Tensor = {
     Profile.rec("sort", Sort, keys.length, keys.length * 16L * 4L)
     I64Tensor(RadixSort.argsortLong(keys.data, descending = true))
-  }
-
-  /** Stable ascending argsort of doubles (IEEE total order). */
-  def argsort(keys: F64Tensor): I64Tensor = {
-    Profile.rec("sort", Sort, keys.length, keys.length * 16L * 4L)
-    I64Tensor(RadixSort.argsortDouble(keys.data, descending = false))
-  }
-
-  def argsortDescending(keys: F64Tensor): I64Tensor = {
-    Profile.rec("sort", Sort, keys.length, keys.length * 16L * 4L)
-    I64Tensor(RadixSort.argsortDouble(keys.data, descending = true))
   }
 
   /** `torch.sort` — returns (sortedValues, argsortIndices). */
@@ -546,13 +598,6 @@ object TensorOps {
     }
   }
 
-  def sum(a: I64Tensor): Long = {
-    Profile.rec("sum", Reduction, a.length, a.length * 8L)
-    var acc = 0L; var i = 0
-    while (i < a.length) { acc += a.data(i); i += 1 }
-    acc
-  }
-
   def max(a: I64Tensor): Long = {
     require(a.length > 0, "max of empty tensor")
     Profile.rec("max", Reduction, a.length, a.length * 8L)
@@ -561,41 +606,10 @@ object TensorOps {
     m
   }
 
-  def min(a: I64Tensor): Long = {
-    require(a.length > 0, "min of empty tensor")
-    Profile.rec("min", Reduction, a.length, a.length * 8L)
-    var m = Long.MaxValue; var i = 0
-    while (i < a.length) { if (a.data(i) < m) m = a.data(i); i += 1 }
-    m
-  }
-
-  def max(a: F64Tensor): Double = {
-    require(a.length > 0, "max of empty tensor")
-    Profile.rec("max", Reduction, a.length, a.length * 8L)
-    var m = Double.NegativeInfinity; var i = 0
-    while (i < a.length) { if (a.data(i) > m) m = a.data(i); i += 1 }
-    m
-  }
-
-  def min(a: F64Tensor): Double = {
-    require(a.length > 0, "min of empty tensor")
-    Profile.rec("min", Reduction, a.length, a.length * 8L)
-    var m = Double.PositiveInfinity; var i = 0
-    while (i < a.length) { if (a.data(i) < m) m = a.data(i); i += 1 }
-    m
-  }
-
   def any(a: BoolTensor): Boolean = {
     Profile.rec("any", Reduction, a.length, a.length * 1L)
     var i = 0
     while (i < a.length) { if (a.data(i)) return true; i += 1 }
     false
-  }
-
-  def all(a: BoolTensor): Boolean = {
-    Profile.rec("all", Reduction, a.length, a.length * 1L)
-    var i = 0
-    while (i < a.length) { if (!a.data(i)) return false; i += 1 }
-    true
   }
 }

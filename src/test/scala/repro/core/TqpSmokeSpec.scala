@@ -93,6 +93,9 @@ class TqpSmokeSpec extends SparkSpec {
   check("non-equi residual join",
     "select t.k as k, v, w from t, u where t.k = u.k and v < w order by k, v, w")
 
+  check("division by zero yields null",
+    "select k, v / (k - 5) as q, v / (v - v) as z, k / 0 as c from t order by k, v")
+
   check("year extraction",
     "select extract(year from d) as y, count(*) as c from t group by extract(year from d) order by y")
 

@@ -152,4 +152,177 @@ class ExprEvalSpec extends AnyFunSuite {
     ExecCtx.withProfile(pc) { ExprCompiler.evalToColumn(e, table, ExecEnv.empty) }
     assert(pi.totalOps > pc.totalOps, s"${pi.totalOps} vs ${pc.totalOps}")
   }
+
+  // ----------------------------------------------------------------
+  // Differential test: both backends against a plain row loop
+  // ----------------------------------------------------------------
+
+  /** 40,000 rows (not a multiple of the 4096-row block): I64 and F64 columns
+    * with nulls, negatives, zeros and ±0.0.
+    */
+  private lazy val wide: TensorTable = {
+    val n = 40000
+    val r = new scala.util.Random(17)
+    def nulls() = Some(Array.fill(n)(r.nextInt(10) != 0))
+    def longs() = Array.fill(n)(r.nextInt(7) match { case 0 => 0L; case 1 => 24L; case _ => r.nextLong(201) - 100 })
+    def doubles() = Array.fill(n)(r.nextInt(8) match {
+      case 0 => 0.0; case 1 => -0.0; case 2 => 24.0; case _ => (r.nextDouble() - 0.5) * 200
+    })
+    TensorTable(Vector(
+      Column("i", DType.I64, I64Tensor(longs()), nulls()),
+      Column("j", DType.I64, I64Tensor(longs()), nulls()),
+      Column("x", DType.F64, F64Tensor(doubles()), nulls()),
+      Column("y", DType.F64, F64Tensor(doubles()), None)))
+  }
+
+  /** One operand of the row loop, by row: its value as a double and as a long, and its validity. */
+  private final class RefOperand(val d: Array[Double], val l: Array[Long], val valid: Array[Boolean])
+
+  private val refOperands = scala.collection.mutable.Map.empty[Expr, RefOperand]
+
+  private def refOperand(e: Expr): RefOperand = refOperands.getOrElseUpdate(e, {
+    val n = wide.numRows
+    val allValid = BoolTensor.fill(n, true).data
+    e match {
+      case ColRef(name, dt) =>
+        val c = wide.column(name)
+        val v = c.validity.getOrElse(allValid)
+        if (dt == DType.F64) new RefOperand(c.f64.data, new Array[Long](n), v)
+        else new RefOperand(Array.tabulate(n)(c.i64.data(_).toDouble), c.i64.data, v)
+      case Lit(v: java.lang.Double, _) => new RefOperand(F64Tensor.fill(n, v).data, new Array[Long](n), allValid)
+      case Lit(v: java.lang.Long, _)   => new RefOperand(F64Tensor.fill(n, v.toDouble).data, I64Tensor.fill(n, v).data, allValid)
+      case other => throw new IllegalArgumentException(other.toString)
+    }
+  })
+
+  /** SQL semantics in a plain row loop: NULL in, NULL out; x / 0 is NULL; an
+    * I64 side is widened when the other side is F64. Returns per row the raw
+    * bits (F64), the long (I64) or 0/1 (Bool), 0 on NULL rows, and the validity.
+    */
+  private def refColumn(e: Expr): (Array[Long], Array[Boolean]) = {
+    val n = wide.numRows
+    val a = refOperand(e.children.head); val b = refOperand(e.children.last)
+    def bits(d: Double) = java.lang.Double.doubleToRawLongBits(d)
+    def bool(v: Boolean) = if (v) 1L else 0L
+    val value: Int => Long = e match {
+      case Neg(x) => if (x.dtype == DType.F64) r => bits(-a.d(r)) else r => -a.l(r)
+      case ar @ Arith(kind, _, _) if ar.dtype == DType.F64 => kind match {
+        case AddK => r => bits(a.d(r) + b.d(r)); case SubK => r => bits(a.d(r) - b.d(r))
+        case MulK => r => bits(a.d(r) * b.d(r)); case DivK => r => bits(a.d(r) / b.d(r))
+      }
+      case Arith(kind, _, _) => kind match {
+        case AddK => r => a.l(r) + b.l(r); case SubK => r => a.l(r) - b.l(r)
+        case MulK => r => a.l(r) * b.l(r); case DivK => fail("I64 division")
+      }
+      case c @ Cmp(kind, _, _) if c.operandType == DType.F64 => kind match {
+        case EqK => r => bool(a.d(r) == b.d(r)); case NeK => r => bool(a.d(r) != b.d(r))
+        case LtK => r => bool(a.d(r) < b.d(r));  case LeK => r => bool(a.d(r) <= b.d(r))
+        case GtK => r => bool(a.d(r) > b.d(r));  case GeK => r => bool(a.d(r) >= b.d(r))
+      }
+      case Cmp(kind, _, _) => kind match {
+        case EqK => r => bool(a.l(r) == b.l(r)); case NeK => r => bool(a.l(r) != b.l(r))
+        case LtK => r => bool(a.l(r) < b.l(r));  case LeK => r => bool(a.l(r) <= b.l(r))
+        case GtK => r => bool(a.l(r) > b.l(r));  case GeK => r => bool(a.l(r) >= b.l(r))
+      }
+      case other => fail(other.toString)
+    }
+    val isDiv = e match { case Arith(DivK, _, _) => true; case _ => false }
+    val (out, valid) = (new Array[Long](n), new Array[Boolean](n))
+    var r = 0
+    while (r < n) {
+      valid(r) = a.valid(r) && b.valid(r) && !(isDiv && b.d(r) == 0.0)
+      out(r) = if (valid(r)) value(r) else 0L
+      r += 1
+    }
+    (out, valid)
+  }
+
+  /** A column as per-row raw bits (F64), longs (I64) or 0/1 (Bool), with 0 on NULL rows. */
+  private def bitsOf(c: Column): Array[Long] = {
+    val n = c.length
+    val out = new Array[Long](n)
+    var i = 0
+    c.tensor match {
+      case F64Tensor(d)  => while (i < n) { out(i) = java.lang.Double.doubleToRawLongBits(d(i)); i += 1 }
+      case BoolTensor(d) => while (i < n) { out(i) = if (d(i)) 1L else 0L; i += 1 }
+      case I64Tensor(d)  => System.arraycopy(d, 0, out, 0, n)
+      case other         => fail(other.toString)
+    }
+    for (v <- c.validity) { i = 0; while (i < n) { if (!v(i)) out(i) = 0L; i += 1 } }
+    out
+  }
+
+  /** Both backends, on each device, equal the row loop: validity on every row, raw bits on valid rows. */
+  private def assertMatchesRowLoop(e: Expr, devices: Seq[CpuDevice]): Unit = {
+    val (ref, refValid) = refColumn(e)
+    for (d <- devices; backend <- Seq(ExprEval, ExprCompiler)) {
+      val col = ExecCtx.withDevice(d)(backend.evalToColumn(e, wide, ExecEnv.empty))
+      assert(col.dtype == e.dtype, s"$backend $e")
+      val got = bitsOf(col)
+      val valid = col.validity.getOrElse(BoolTensor.fill(col.length, true).data)
+      if (!java.util.Arrays.equals(valid, refValid) || !java.util.Arrays.equals(got, ref)) {
+        val row = (0 until wide.numRows).find(r => valid(r) != refValid(r) || got(r) != ref(r)).get
+        fail(s"$backend on ${d.threads} thread(s), $e, row $row: got ${valid(row)}/${got(row)}, " +
+          s"expected ${refValid(row)}/${ref(row)}")
+      }
+    }
+  }
+
+  private val arithKinds = Seq(AddK, SubK, MulK, DivK)
+  private val cmpKinds   = Seq(EqK, NeK, LtK, LeK, GtK, GeK)
+
+  /** (left, right) operand pairs: {vector, scalar}² × {I64, F64, mixed}. */
+  private val operandPairs: Seq[(Expr, Expr)] = {
+    val i = ColRef("i", DType.I64); val j = ColRef("j", DType.I64)
+    val x = ColRef("x", DType.F64); val y = ColRef("y", DType.F64)
+    val longs   = Seq(Lit(24L, DType.I64), Lit(0L, DType.I64))
+    val doubles = Seq(Lit(24.5, DType.F64), Lit(-0.0, DType.F64))
+    def shapes(lv: Expr, rv: Expr, ls: Seq[Expr], rs: Seq[Expr]): Seq[(Expr, Expr)] =
+      Seq(lv -> rv) ++ rs.map(lv -> _) ++ ls.map(_ -> rv) ++ ls.zip(rs)
+    shapes(i, j, longs, longs) ++ shapes(x, y, doubles, doubles) ++
+      shapes(i, x, longs, doubles) ++ shapes(x, i, doubles, longs)
+  }
+
+  test("both backends equal a row loop bit for bit on every arithmetic and comparison shape") {
+    val dev = new CpuDevice(3)
+    try {
+      val devices = Seq(CpuDevice.single, dev)
+      for ((l, r) <- operandPairs) {
+        arithKinds.foreach(k => assertMatchesRowLoop(Arith(k, l, r), devices))
+        cmpKinds.foreach(k => assertMatchesRowLoop(Cmp(k, l, r), devices))
+      }
+      Seq(ColRef("i", DType.I64), ColRef("x", DType.F64), Lit(-0.0, DType.F64), Lit(5L, DType.I64))
+        .foreach(x => assertMatchesRowLoop(Neg(x), devices))
+    } finally dev.close()
+  }
+
+  test("probe cases: widened comparisons, -(0.0), and division by zero, in both backends") {
+    val t = TensorTable(Vector(
+      Column("k", DType.I64, I64Tensor(Array(24L, 5L, 7L))),
+      Column("v", DType.F64, F64Tensor(Array(0.0, 3.0, -0.0)))))
+    def rows(e: Expr): Seq[Seq[Any]] = Seq(ExprEval, ExprCompiler).map { b =>
+      val c = b.evalToColumn(e, t, ExecEnv.empty)
+      (0 until c.length).map { r =>
+        if (!c.isValid(r)) null
+        else c.dtype match {
+          case DType.F64  => java.lang.Double.doubleToRawLongBits(c.f64.data(r))
+          case DType.Bool => c.bool.data(r)
+          case _          => c.i64.data(r)
+        }
+      }
+    }
+    val bits = (d: Double) => java.lang.Double.doubleToRawLongBits(d)
+    // An I64 column against an F64 constant compares in F64: 24 < 24.5.
+    assert(rows(Cmp(LtK, ColRef("k", DType.I64), Lit(24.5, DType.F64))).distinct == Seq(Seq(true, true, true)))
+    // A scalar–scalar comparison uses both sides' types: 1 = 1.5 is false.
+    assert(rows(Cmp(EqK, Lit(1L, DType.I64), Lit(1.5, DType.F64))).distinct == Seq(Seq(false, false, false)))
+    // -(0.0) is -0.0 and -(-0.0) is 0.0.
+    assert(rows(Neg(ColRef("v", DType.F64))).distinct == Seq(Seq(bits(-0.0), bits(-3.0), bits(0.0))))
+    // x / 0 is NULL, for a zero column value, a -0.0 and a zero constant.
+    assert(rows(Arith(DivK, Lit(1.0, DType.F64), ColRef("v", DType.F64))).distinct ==
+      Seq(Seq(null, bits(1.0 / 3.0), null)))
+    assert(rows(Arith(DivK, ColRef("k", DType.I64), Arith(SubK, ColRef("k", DType.I64), Lit(5L, DType.I64)))).distinct ==
+      Seq(Seq(bits(24.0 / 19), null, bits(3.5))))
+    assert(rows(Arith(DivK, ColRef("v", DType.F64), Lit(0L, DType.I64))).distinct == Seq(Seq(null, null, null)))
+  }
 }

@@ -30,7 +30,7 @@ class TensorOpsSpec extends AnyFunSuite {
     trials { n =>
       val a = randomDoubles(n, n)
       val t = F64Tensor(a)
-      assert(TensorOps.add(t, t).data.toSeq == a.map(x => x + x).toSeq)
+      assert(TensorOps.arith(TensorOps.Add, t, t).data.toSeq == a.map(x => x + x).toSeq)
       assert(TensorOps.mul(t, t).data.toSeq == a.map(x => x * x).toSeq)
       assert(TensorOps.sub(t, t).data.toSeq == a.map(_ => 0.0).toSeq)
     }
@@ -58,7 +58,7 @@ class TensorOpsSpec extends AnyFunSuite {
     trials { n =>
       val a = randomLongs(n + 31, n)
       val t = I64Tensor(a)
-      val mask = TensorOps.gt(t, I64Tensor.fill(a.length, 10L))
+      val mask = TensorOps.cmp(TensorOps.Gt, t, I64Tensor.fill(a.length, 10L))
       assert(TensorOps.maskedSelect(t, mask).data.toSeq == a.filter(_ > 10L).toSeq)
       val nz = TensorOps.nonzero(mask)
       assert(nz.data.map(i => a(i.toInt)).toSeq == a.filter(_ > 10L).toSeq)
@@ -83,10 +83,17 @@ class TensorOpsSpec extends AnyFunSuite {
   }
 
   test("argsort doubles handles negatives and zeros") {
+    // Doubles are sorted as order-preserving longs (KeyEncoder.toOrderedI64), the only double-ordering path.
+    import repro.core.data.{Column, DType}
+    import repro.core.ops.KeyEncoder
     trials { n =>
       val a = randomDoubles(n + 9, n * 3) ++ Array(0.0, -0.0, 1.0, -1.0)
-      val perm = TensorOps.argsort(F64Tensor(a))
-      assert(perm.data.map(i => a(i.toInt)).toSeq == a.sorted.toSeq)
+      val perm = TensorOps.argsort(KeyEncoder.toOrderedI64(Column("x", DType.F64, F64Tensor(a))))
+      val sorted = perm.data.map(i => a(i.toInt))
+      assert(sorted.toSeq == a.sorted.toSeq)
+      // -0.0 and 0.0 are one key, so the stable sort keeps them in input order.
+      assert(sorted.filter(_ == 0.0).map(java.lang.Double.doubleToRawLongBits).toSeq ==
+        a.filter(_ == 0.0).map(java.lang.Double.doubleToRawLongBits).toSeq)
     }
   }
 
@@ -148,11 +155,9 @@ class TensorOpsSpec extends AnyFunSuite {
   test("reductions") {
     val t = F64Tensor(Array(1.5, -2.5, 4.0))
     assert(TensorOps.sum(t) == 3.0)
-    assert(TensorOps.min(t) == -2.5 && TensorOps.max(t) == 4.0)
-    val l = I64Tensor(Array(3L, 9L, -1L))
-    assert(TensorOps.sum(l) == 11L && TensorOps.min(l) == -1L && TensorOps.max(l) == 9L)
+    assert(TensorOps.max(I64Tensor(Array(3L, 9L, -1L))) == 9L)
     assert(TensorOps.any(BoolTensor(Array(false, true))))
-    assert(!TensorOps.all(BoolTensor(Array(false, true))))
+    assert(!TensorOps.any(BoolTensor(Array(false, false))))
   }
 
   test("cat concatenates") {
@@ -184,12 +189,88 @@ class TensorOpsSpec extends AnyFunSuite {
     } finally dev.close()
   }
 
+  private val arithOpsF64 = Seq(TensorOps.Add, TensorOps.Sub, TensorOps.Mul, TensorOps.Div)
+  private val arithOpsI64 = Seq(TensorOps.Add, TensorOps.Sub, TensorOps.Mul, TensorOps.FloorDiv, TensorOps.Mod)
+  private val cmpOps = Seq(TensorOps.Eq, TensorOps.Ne, TensorOps.Lt, TensorOps.Le, TensorOps.Gt, TensorOps.Ge)
+
+  test("a one-element operand broadcasts like a full-length fill, on either side") {
+    val dev = new CpuDevice(3)
+    try {
+      // 0 and 1 rows, one partial broadcast block, and several chunks of whole and partial blocks.
+      for (n <- Seq(0, 1, 5, 4097, 40000); d <- Seq(CpuDevice.single, dev)) ExecCtx.withDevice(d) {
+        val x = F64Tensor(randomDoubles(n, n).map(v => if (v < -5e5) 0.0 else v))
+        val i = I64Tensor(randomLongs(n, n).map(v => if (v == 0L) 1L else v))
+        for (v <- Seq(-0.0, 2.5)) {
+          val (s, f) = (F64Tensor(Array(v)), F64Tensor.fill(n, v))
+          def bits(t: F64Tensor) = t.data.map(java.lang.Double.doubleToRawLongBits).toSeq
+          for (op <- arithOpsF64) {
+            assert(bits(TensorOps.arith(op, x, s)) == bits(TensorOps.arith(op, x, f)), (n, op, v))
+            assert(bits(TensorOps.arith(op, s, x)) == bits(TensorOps.arith(op, f, x)), (n, op, v))
+          }
+          for (op <- cmpOps) {
+            assert(TensorOps.cmp(op, x, s).data.toSeq == TensorOps.cmp(op, x, f).data.toSeq, (n, op, v))
+            assert(TensorOps.cmp(op, s, x).data.toSeq == TensorOps.cmp(op, f, x).data.toSeq, (n, op, v))
+          }
+        }
+        for (v <- Seq(-7L, 3L)) {
+          val (s, f) = (I64Tensor(Array(v)), I64Tensor.fill(n, v))
+          for (op <- arithOpsI64) {
+            assert(TensorOps.arith(op, i, s).data.toSeq == TensorOps.arith(op, i, f).data.toSeq, (n, op, v))
+            assert(TensorOps.arith(op, s, i).data.toSeq == TensorOps.arith(op, f, i).data.toSeq, (n, op, v))
+          }
+          for (op <- cmpOps) {
+            assert(TensorOps.cmp(op, i, s).data.toSeq == TensorOps.cmp(op, i, f).data.toSeq, (n, op, v))
+            assert(TensorOps.cmp(op, s, i).data.toSeq == TensorOps.cmp(op, f, i).data.toSeq, (n, op, v))
+          }
+        }
+      }
+    } finally dev.close()
+  }
+
+  test("operands of different lengths, neither of one element, are rejected") {
+    for ((la, lb) <- Seq((3, 2), (2, 3), (0, 2), (2, 0))) {
+      val (a, b) = (F64Tensor(new Array[Double](la)), F64Tensor(new Array[Double](lb)))
+      val (c, d) = (I64Tensor(new Array[Long](la)), I64Tensor(new Array[Long](lb)))
+      assertThrows[IllegalArgumentException](TensorOps.arith(TensorOps.Add, a, b))
+      assertThrows[IllegalArgumentException](TensorOps.arith(TensorOps.Add, c, d))
+      assertThrows[IllegalArgumentException](TensorOps.cmp(TensorOps.Lt, a, b))
+      assertThrows[IllegalArgumentException](TensorOps.cmp(TensorOps.Lt, c, d))
+    }
+  }
+
+  test("each binary op records one OpRecord of 24n, 16n, 17n or 9n bytes") {
+    val n = 1000
+    val (vf, sf) = (F64Tensor(new Array[Double](n)), F64Tensor(Array(1.0)))
+    val (vl, sl) = (I64Tensor(new Array[Long](n)), I64Tensor(Array(1L)))
+    def recordOf(f: => Tensor): OpRecord = {
+      val p = new Profile
+      ExecCtx.withProfile(p)(f)
+      assert(p.records.size == 1, p.records)
+      p.records.head
+    }
+    for ((a, b, bytes) <- Seq((vf, vf, 24), (vf, sf, 16), (sf, vf, 16))) {
+      val r = recordOf(TensorOps.arith(TensorOps.Mul, a, b))
+      assert(r.cls == OpClass.ElementWise && r.elems == n && r.bytes == bytes.toLong * n, r)
+      assert(recordOf(TensorOps.cmp(TensorOps.Lt, a, b)).bytes == (bytes - 7).toLong * n)
+    }
+    for ((a, b, bytes) <- Seq((vl, vl, 24), (vl, sl, 16), (sl, vl, 16))) {
+      val r = recordOf(TensorOps.arith(TensorOps.Sub, a, b))
+      assert(r.cls == OpClass.ElementWise && r.elems == n && r.bytes == bytes.toLong * n, r)
+      assert(recordOf(TensorOps.cmp(TensorOps.Ge, a, b)).bytes == (bytes - 7).toLong * n)
+    }
+    // The PyTorch-named forwards keep their byte counts.
+    assert(recordOf(TensorOps.neg(vf)).bytes == 16L * n)
+    assert(recordOf(TensorOps.addScalar(vf, 1.0)).bytes == 16L * n)
+    assert(recordOf(TensorOps.remainder(vl, 7L)).bytes == 16L * n)
+    assert(recordOf(TensorOps.ltScalar(vf, 1.0)).bytes == 9L * n)
+  }
+
   test("profile records op classes and bytes") {
     val p = new Profile
     ExecCtx.withProfile(p) {
       val t = F64Tensor(Array.fill(1000)(1.0))
-      TensorOps.add(t, t)
-      TensorOps.argsort(t)
+      TensorOps.arith(TensorOps.Add, t, t)
+      TensorOps.argsort(I64Tensor(Array.tabulate(1000)(i => (i * 7919L) % 1000)))
     }
     val names = p.records.map(_.name)
     assert(names.contains("add") && names.contains("sort"))
