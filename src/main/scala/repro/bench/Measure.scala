@@ -19,13 +19,28 @@ object Measure {
     System.gc()
     var i = 0
     while (i < Warmup) { f; i += 1 }
-    val times = (0 until Measured).map { _ =>
-      val t0 = System.nanoTime()
-      f
-      (System.nanoTime() - t0) / 1e6
-    }.sorted
-    times(times.length / 2)
+    median((0 until Measured).map(_ => timeMs(f)))
   }
+
+  /** Median wall-clock milliseconds of `f` and of `g`, timed alternately
+    * (f, g, f, g, …) after `Warmup` runs of each, so that a drift in machine
+    * speed during the measurement hits both alike.
+    */
+  def alternatingMedianMs[A, B](f: => A, g: => B): (Double, Double) = {
+    System.gc()
+    var i = 0
+    while (i < Warmup) { f; g; i += 1 }
+    val (tf, tg) = (0 until Measured).map(_ => (timeMs(f), timeMs(g))).unzip
+    (median(tf), median(tg))
+  }
+
+  private def timeMs[A](f: => A): Double = {
+    val t0 = System.nanoTime()
+    f
+    (System.nanoTime() - t0) / 1e6
+  }
+
+  private def median(times: Seq[Double]): Double = times.sorted.apply(times.length / 2)
 
   /** One formatted row of a results table. */
   def fmt(v: Option[Double]): String = v match {

@@ -27,16 +27,23 @@ final class TqpSession(val spark: SparkSession) {
   private val schemas = mutable.LinkedHashMap[String, Set[String]]()
 
   /** Register a table: collect, convert to tensors (§4.1), and expose to
-    * Spark as a temp view for parsing/optimization.
+    * Spark as a temp view for parsing/optimization. Scans resolve to tables
+    * by their set of column names, so a second table with the same set
+    * under another name is refused; re-registering a name replaces it.
     */
   def register(name: String, df: DataFrame): Unit = {
+    val columns = df.schema.fieldNames.toSet
+    schemas.collectFirst { case (t, cols) if t != name && cols == columns => t }.foreach { t =>
+      throw new IllegalArgumentException(
+        s"table $name has the same column names as registered table $t; scans could not tell them apart")
+    }
     val rows = df.collect()
     // Registered data is null-free; declaring columns non-nullable lets the
     // frontend optimizer plan NOT IN as a plain (not null-aware) anti join.
     val schema = org.apache.spark.sql.types.StructType(
       df.schema.fields.map(_.copy(nullable = false)))
     tables(name)  = TensorTable.fromRows(schema, rows)
-    schemas(name) = schema.fieldNames.toSet
+    schemas(name) = columns
     val rdd = spark.sparkContext.parallelize(rows.toIndexedSeq, math.max(1, spark.sparkContext.defaultParallelism))
     spark.createDataFrame(rdd, schema).createOrReplaceTempView(name)
   }

@@ -292,12 +292,12 @@ object CatalystFrontend {
       case x: IsNotNull => Expr.IsNotNull(rec(x.child))
 
       case cw: CaseWhen =>
-        Expr.CaseWhen(cw.branches.map { case (c, v) => (rec(c), rec(v)) }, cw.elseValue.map(rec))
+        numericCase(Expr.CaseWhen(cw.branches.map { case (c, v) => (rec(c), rec(v)) }, cw.elseValue.map(rec)))
       case iff: If =>
-        Expr.CaseWhen(Seq((rec(iff.predicate), rec(iff.trueValue))), Some(rec(iff.falseValue)))
+        numericCase(Expr.CaseWhen(Seq((rec(iff.predicate), rec(iff.trueValue))), Some(rec(iff.falseValue))))
       case co: Coalesce if co.children.length == 2 =>
-        Expr.CaseWhen(Seq((Expr.IsNotNull(rec(co.children.head)), rec(co.children.head))),
-                      Some(rec(co.children(1))))
+        numericCase(Expr.CaseWhen(Seq((Expr.IsNotNull(rec(co.children.head)), rec(co.children.head))),
+                                  Some(rec(co.children(1)))))
 
       case l: Like => l.right match {
         case Literal(p, StringType) => Expr.StrPred(Expr.LikeP, rec(l.left), p.toString)
@@ -327,6 +327,11 @@ object CatalystFrontend {
         throw new UnsupportedPlanException(
           s"unsupported expression ${other.getClass.getSimpleName}: $other")
     }
+
+    /** CASE, IF and COALESCE evaluate to numbers and dates only. */
+    private def numericCase(cw: Expr.CaseWhen): Expr =
+      if (cw.supported) cw
+      else throw new UnsupportedPlanException(s"CASE/IF/COALESCE over ${cw.dtype} unsupported")
 
     private def litString(e: CExpr): String = e match {
       case Literal(v, StringType) => v.toString

@@ -39,56 +39,59 @@ final case class Column(name: String, dtype: DType, tensor: Tensor,
 
   /** Gather rows by index; index -1 produces a NULL row (outer-join padding). */
   def gather(idx: I64Tensor): Column = {
-    if (length == 0) {
-      // A zero-row source can only be gathered by padding: all-null rows.
-      val n = idx.length
-      val t = tensor match {
-        case _: I64Tensor    => I64Tensor(new Array[Long](n))
-        case _: F64Tensor    => F64Tensor(new Array[Double](n))
-        case _: BoolTensor   => BoolTensor(new Array[Boolean](n))
-        case _: StringTensor => StringTensor.fromStrings(Array.fill(n)(""))
-      }
-      return Column(name, dtype, t, if (n == 0) None else Some(new Array[Boolean](n)))
-    }
+    val n = idx.length
+    // A zero-row source can only be gathered by padding: all-null rows.
+    if (length == 0) return Column(name, dtype, take(idx), if (n == 0) None else Some(new Array[Boolean](n)))
     val anyNegative = {
       var found = false
       var i = 0
-      while (!found && i < idx.length) { found = idx.data(i) < 0; i += 1 }
+      while (!found && i < n) { found = idx.data(i) < 0; i += 1 }
       found
     }
-    if (!anyNegative && validity.isEmpty) {
-      val t = tensor match {
-        case t: I64Tensor    => TensorOps.indexSelect(t, idx)
-        case t: F64Tensor    => TensorOps.indexSelect(t, idx)
-        case t: BoolTensor   => TensorOps.indexSelect(t, idx)
-        case t: StringTensor => StringTensor.indexSelect(t, idx)
-      }
-      Column(name, dtype, t, None)
-    } else {
+    if (!anyNegative && validity.isEmpty) Column(name, dtype, take(idx), None)
+    else {
       // Clamp negatives to row 0, gather, then mark them (and rows whose
       // source was already null) invalid.
-      val n = idx.length
       val clamped = new Array[Long](n)
       val valid   = new Array[Boolean](n)
+      var allValid = true
       var i = 0
       while (i < n) {
         val v = idx.data(i)
         if (v < 0) { clamped(i) = 0; valid(i) = false }
         else       { clamped(i) = v; valid(i) = isValid(v.toInt) }
+        allValid &&= valid(i)
         i += 1
       }
-      val ci = I64Tensor(clamped)
-      val t = tensor match {
-        case t: I64Tensor    => TensorOps.indexSelect(t, ci)
-        case t: F64Tensor    => TensorOps.indexSelect(t, ci)
-        case t: BoolTensor   => TensorOps.indexSelect(t, ci)
-        case t: StringTensor => StringTensor.indexSelect(t, ci)
-      }
-      val allValid = valid.forall(identity)
-      Column(name, dtype, t, if (allValid) None else Some(valid))
+      Column(name, dtype, take(I64Tensor(clamped)), if (allValid) None else Some(valid))
+    }
+  }
+
+  /** The tensor's rows at `idx`; from a zero-row tensor, `idx.length` zero (empty-string) rows. */
+  private def take(idx: I64Tensor): Tensor = {
+    val pad = length == 0
+    val n = idx.length
+    tensor match {
+      case t: I64Tensor    => if (pad) I64Tensor(new Array[Long](n)) else TensorOps.indexSelect(t, idx)
+      case t: F64Tensor    => if (pad) F64Tensor(new Array[Double](n)) else TensorOps.indexSelect(t, idx)
+      case t: BoolTensor   => if (pad) BoolTensor(new Array[Boolean](n)) else TensorOps.indexSelect(t, idx)
+      case t: StringTensor =>
+        if (pad) StringTensor.fromStrings(Array.fill(n)("")) else StringTensor.indexSelect(t, idx)
     }
   }
 
   /** Keep rows where `mask` is set (bitmap filter, §3.1). */
   def select(mask: BoolTensor): Column = gather(TensorOps.nonzero(mask))
+}
+
+object Column {
+  /** The rows valid in both masks (`None` = all valid), chunk-parallel on the current device. */
+  def validWhereBoth(a: Option[Array[Boolean]], b: Option[Array[Boolean]]): Option[Array[Boolean]] =
+    (a, b) match {
+      case (Some(x), Some(y)) =>
+        val out = new Array[Boolean](x.length)
+        ExecCtx.current.device.parallelRanges(out.length) { (s, e) => TensorOps.and(x, s, y, s, out, s, e - s) }
+        Some(out)
+      case _ => a.orElse(b)
+    }
 }

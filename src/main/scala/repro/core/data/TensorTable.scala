@@ -54,7 +54,7 @@ object TensorTable {
       val dtype = dtypeOf(f.dataType)
       var validity: Array[Boolean] = null
       def markNull(i: Int): Unit = {
-        if (validity == null) { validity = Array.fill(n)(true) }
+        if (validity == null) validity = BoolTensor.fill(n, true).data
         validity(i) = false
       }
       val tensor: Tensor = dtype match {

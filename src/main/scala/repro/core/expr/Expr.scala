@@ -79,6 +79,8 @@ object Expr {
   final case class CaseWhen(branches: Seq[(Expr, Expr)], elseValue: Option[Expr]) extends Expr {
     def children: Seq[Expr]  = branches.flatMap(b => Seq(b._1, b._2)) ++ elseValue.toSeq
     def dtype: DType = branches.head._2.dtype
+    /** Both backends evaluate CASE over numeric and date results only. */
+    def supported: Boolean = dtype == DType.F64 || dtype == DType.I64 || dtype == DType.Date
   }
 
   final case class CastTo(e: Expr, dtype: DType) extends Expr { def children = Seq(e) }

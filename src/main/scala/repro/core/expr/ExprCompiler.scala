@@ -28,8 +28,10 @@ object ExprCompiler extends ExprBackend {
     *  - typed output lives in `outD`/`outL`/`outB` at offset `base`
     *    (leaves alias the input column with `base = lo`; computed nodes use
     *    base-0 scratch);
-    *  - `outNulls` holds base-0 per-row invalid flags, or null if the whole
-    *    block is valid.
+    *  - `outValid` holds per-row validity (true = valid) at offset `vBase`,
+    *    or is null if the whole block is valid. Leaves alias their column's
+    *    validity mask; a node whose rows are valid where one child's are
+    *    aliases that child's mask.
     */
   sealed abstract class CE(val dtype: DType) {
     private var curLo = -1
@@ -38,12 +40,28 @@ object ExprCompiler extends ExprBackend {
     var outL: Array[Long] = _
     var outB: Array[Boolean] = _
     var base: Int = 0
-    var outNulls: Array[Boolean] = _
+    var outValid: Array[Boolean] = _
+    var vBase: Int = 0
 
     final def ensure(lo: Int, hi: Int): Unit =
       if (curLo != lo || curHi != hi) { compute(lo, hi); curLo = lo; curHi = hi }
 
     protected def compute(lo: Int, hi: Int): Unit
+
+    /** Row `i` of the block is valid. */
+    final def isValid(i: Int): Boolean = outValid == null || outValid(vBase + i)
+
+    /** This node's rows are valid where `e`'s are. */
+    protected final def validAs(e: CE): Unit = { outValid = e.outValid; vBase = e.vBase }
+
+    /** This node's rows are valid where both `l`'s and `r`'s are (`buf` holds the AND if needed). */
+    protected final def validWhereBoth(l: CE, r: CE, buf: Array[Boolean], n: Int): Unit =
+      if (l.outValid == null) validAs(r)
+      else if (r.outValid == null) validAs(l)
+      else {
+        TensorOps.and(l.outValid, l.vBase, r.outValid, r.vBase, buf, 0, n)
+        outValid = buf; vBase = 0
+      }
 
     // Conversion views (filled lazily; base 0).
     private var convD: Array[Double] = _
@@ -75,63 +93,29 @@ object ExprCompiler extends ExprBackend {
       }
   }
 
-  // ---------------- leaves (zero-copy views) ----------------
+  // ---------------- leaves and constants ----------------
 
-  private final class LeafD(src: Array[Double], valid: Array[Boolean]) extends CE(DType.F64) {
-    outD = src
-    private val nullBuf = if (valid == null) null else new Array[Boolean](Block)
-    protected def compute(lo: Int, hi: Int): Unit = {
-      base = lo
-      outNulls = copyNulls(valid, nullBuf, lo, hi)
+  /** A zero-copy view of a column: its values and validity mask at offset `lo`. */
+  private final class Leaf(c: Column) extends CE(c.dtype) {
+    c.tensor match {
+      case F64Tensor(d)  => outD = d
+      case I64Tensor(d)  => outL = d
+      case BoolTensor(d) => outB = d
+      case _ => throw new IllegalStateException("string leaf must be consumed by a string kernel")
     }
+    outValid = c.validity.orNull
+    protected def compute(lo: Int, hi: Int): Unit = { base = lo; vBase = lo }
   }
 
-  private final class LeafL(src: Array[Long], valid: Array[Boolean], dt: DType) extends CE(dt) {
-    outL = src
-    private val nullBuf = if (valid == null) null else new Array[Boolean](Block)
-    protected def compute(lo: Int, hi: Int): Unit = {
-      base = lo
-      outNulls = copyNulls(valid, nullBuf, lo, hi)
+  /** A block of the constant `v` of type `dt`, or of SQL NULL if `v` is null. */
+  private final class Const(v: Any, dt: DType) extends CE(dt) {
+    dt match {
+      case DType.F64  => outD = F64Tensor.fill(Block, if (v == null) 0.0 else v.asInstanceOf[Double]).data
+      case DType.Bool => outB = BoolTensor.fill(Block, v == true).data
+      case DType.Str  => throw new IllegalStateException("string literal must be folded by parent")
+      case _          => outL = I64Tensor.fill(Block, if (v == null) 0L else v.asInstanceOf[Long]).data
     }
-  }
-
-  private final class LeafB(src: Array[Boolean], valid: Array[Boolean]) extends CE(DType.Bool) {
-    outB = src
-    private val nullBuf = if (valid == null) null else new Array[Boolean](Block)
-    protected def compute(lo: Int, hi: Int): Unit = {
-      base = lo
-      outNulls = copyNulls(valid, nullBuf, lo, hi)
-    }
-  }
-
-  private def copyNulls(valid: Array[Boolean], buf: Array[Boolean], lo: Int, hi: Int): Array[Boolean] = {
-    if (valid == null) return null
-    var any = false
-    var i = lo
-    while (i < hi) { if (!valid(i)) { any = true; i = hi } else i += 1 }
-    if (!any) return null
-    i = lo
-    while (i < hi) { buf(i - lo) = !valid(i); i += 1 }
-    buf
-  }
-
-  private final class ConstD(v: Double) extends CE(DType.F64) {
-    outD = Array.fill(Block)(v)
-    protected def compute(lo: Int, hi: Int): Unit = ()
-  }
-  private final class ConstL(v: Long, dt: DType) extends CE(dt) {
-    outL = Array.fill(Block)(v)
-    protected def compute(lo: Int, hi: Int): Unit = ()
-  }
-  private final class ConstB(v: Boolean) extends CE(DType.Bool) {
-    outB = Array.fill(Block)(v)
-    protected def compute(lo: Int, hi: Int): Unit = ()
-  }
-  private final class ConstNull(dt: DType) extends CE(dt) {
-    outD = if (dt == DType.F64) new Array[Double](Block) else null
-    outB = if (dt == DType.Bool) new Array[Boolean](Block) else null
-    outL = if (outD == null && outB == null) new Array[Long](Block) else null
-    outNulls = Array.fill(Block)(true)
+    if (v == null) outValid = new Array[Boolean](Block)
     protected def compute(lo: Int, hi: Int): Unit = ()
   }
 
@@ -143,28 +127,47 @@ object ExprCompiler extends ExprBackend {
   private final class ArithNode(op: Int, l: CE, r: CE, dt: DType) extends CE(dt) {
     private val asD = dt == DType.F64
     if (asD) outD = new Array[Double](Block) else outL = new Array[Long](Block)
-    private val nullBuf = new Array[Boolean](Block)
+    private val validBuf = new Array[Boolean](Block)
     protected def compute(lo: Int, hi: Int): Unit = {
       l.ensure(lo, hi); r.ensure(lo, hi)
       val n = hi - lo
       base = 0
-      outNulls = orNulls(l.outNulls, r.outNulls, nullBuf, n)
+      validWhereBoth(l, r, validBuf, n)
       if (asD) {
         val a = l.blockD(n); val ab = l.dBase
         val b = r.blockD(n); val bb = r.dBase
         TensorOps.arith(op, a, ab, b, bb, outD, 0, n)
-        if (op == TensorOps.Div) outNulls = nullWhereZero(b, bb, outNulls, nullBuf, n)
+        if (op == TensorOps.Div) nullWhereZero(b, bb, n)
       } else {
         val a = l.blockL(n); val ab = l.lBase
         val b = r.blockL(n); val bb = r.lBase
         TensorOps.arith(op, a, ab, b, bb, outL, 0, n)
       }
     }
+
+    /** x / 0 is NULL (DuckDB; Spark's try_divide): rows whose divisor is zero
+      * become invalid, in `validBuf` (a copy of the validity so far, since
+      * `outValid` may alias a child's mask).
+      */
+    private def nullWhereZero(b: Array[Double], bb: Int, n: Int): Unit = {
+      var i = 0
+      while (i < n) {
+        if (b(bb + i) == 0.0) {
+          if (outValid ne validBuf) {
+            if (outValid == null) java.util.Arrays.fill(validBuf, 0, n, true)
+            else System.arraycopy(outValid, vBase, validBuf, 0, n)
+            outValid = validBuf; vBase = 0
+          }
+          validBuf(i) = false
+        }
+        i += 1
+      }
+    }
   }
 
   private final class CmpNode(op: Int, l: CE, r: CE, asD: Boolean) extends CE(DType.Bool) {
     outB = new Array[Boolean](Block)
-    private val nullBuf = new Array[Boolean](Block)
+    private val validBuf = new Array[Boolean](Block)
     protected def compute(lo: Int, hi: Int): Unit = {
       l.ensure(lo, hi); r.ensure(lo, hi)
       val n = hi - lo
@@ -178,99 +181,23 @@ object ExprCompiler extends ExprBackend {
         val b = r.blockL(n); val bb = r.lBase
         TensorOps.cmp(op, a, ab, b, bb, outB, 0, n)
       }
-      outNulls = orNulls(l.outNulls, r.outNulls, nullBuf, n)
+      validWhereBoth(l, r, validBuf, n)
     }
   }
 
-  /** x / 0 is NULL (DuckDB; Spark's try_divide): marks the block's rows whose
-    * divisor is zero in `nulls` (or in `buf`, cleared first, if `nulls` is null).
-    */
-  private def nullWhereZero(b: Array[Double], bb: Int, nulls: Array[Boolean], buf: Array[Boolean], n: Int): Array[Boolean] = {
-    var out = nulls
-    var i = 0
-    while (i < n) {
-      if (b(bb + i) == 0.0) {
-        if (out == null) { java.util.Arrays.fill(buf, 0, n, false); out = buf }
-        out(i) = true
-      }
-      i += 1
-    }
-    out
-  }
+  // ---------------- boolean connectives, IN, null tests ----------------
 
-  private def orNulls(a: Array[Boolean], b: Array[Boolean], buf: Array[Boolean], n: Int): Array[Boolean] = {
-    if (a == null && b == null) return null
-    var i = 0
-    if (a == null) { while (i < n) { buf(i) = b(i); i += 1 } }
-    else if (b == null) { while (i < n) { buf(i) = a(i); i += 1 } }
-    else { while (i < n) { buf(i) = a(i) || b(i); i += 1 } }
-    buf
-  }
-
-  // ---------------- boolean connectives (Kleene) ----------------
-
-  private final class AndNode(l: CE, r: CE) extends CE(DType.Bool) {
+  /** Kleene AND, or OR if `isOr` (TensorOps.kleene). */
+  private final class KleeneNode(isOr: Boolean, l: CE, r: CE) extends CE(DType.Bool) {
     outB = new Array[Boolean](Block)
-    private val nullBuf = new Array[Boolean](Block)
+    private val validBuf = new Array[Boolean](Block)
     protected def compute(lo: Int, hi: Int): Unit = {
       l.ensure(lo, hi); r.ensure(lo, hi)
-      val n = hi - lo
-      val la = l.outB; val lb = l.base
-      val ra = r.outB; val rb = r.base
-      val ln = l.outNulls; val rn = r.outNulls
       base = 0
-      if (ln == null && rn == null) {
-        var i = 0
-        while (i < n) { outB(i) = la(lb + i) && ra(rb + i); i += 1 }
-        outNulls = null
-      } else {
-        var any = false
-        var i = 0
-        while (i < n) {
-          val lNull = ln != null && ln(i)
-          val rNull = rn != null && rn(i)
-          val lv = !lNull && la(lb + i)
-          val rv = !rNull && ra(rb + i)
-          val falseKnown = (!lNull && !la(lb + i)) || (!rNull && !ra(rb + i))
-          outB(i) = lv && rv
-          nullBuf(i) = !(falseKnown || (!lNull && !rNull))
-          any ||= nullBuf(i)
-          i += 1
-        }
-        outNulls = if (any) nullBuf else null
-      }
-    }
-  }
-
-  private final class OrNode(l: CE, r: CE) extends CE(DType.Bool) {
-    outB = new Array[Boolean](Block)
-    private val nullBuf = new Array[Boolean](Block)
-    protected def compute(lo: Int, hi: Int): Unit = {
-      l.ensure(lo, hi); r.ensure(lo, hi)
-      val n = hi - lo
-      val la = l.outB; val lb = l.base
-      val ra = r.outB; val rb = r.base
-      val ln = l.outNulls; val rn = r.outNulls
-      base = 0
-      if (ln == null && rn == null) {
-        var i = 0
-        while (i < n) { outB(i) = la(lb + i) || ra(rb + i); i += 1 }
-        outNulls = null
-      } else {
-        var any = false
-        var i = 0
-        while (i < n) {
-          val lNull = ln != null && ln(i)
-          val rNull = rn != null && rn(i)
-          val lv = !lNull && la(lb + i)
-          val rv = !rNull && ra(rb + i)
-          outB(i) = lv || rv
-          nullBuf(i) = !(outB(i) || (!lNull && !rNull))
-          any ||= nullBuf(i)
-          i += 1
-        }
-        outNulls = if (any) nullBuf else null
-      }
+      TensorOps.kleene(isOr, l.outB, l.base, l.outValid, l.vBase, r.outB, r.base, r.outValid, r.vBase,
+        outB, validBuf, 0, hi - lo)
+      outValid = if (l.outValid == null && r.outValid == null) null else validBuf
+      vBase = 0
     }
   }
 
@@ -283,91 +210,72 @@ object ExprCompiler extends ExprBackend {
       base = 0
       var i = 0
       while (i < n) { outB(i) = !a(ab + i); i += 1 }
-      outNulls = e.outNulls
+      validAs(e)
     }
   }
 
-  private final class InLNode(e: CE, set: Set[Long]) extends CE(DType.Bool) {
+  /** Membership of a numeric value in a constant set, compared as F64 or I64 by `e`'s type. */
+  private final class InNode(e: CE, values: Seq[Any]) extends CE(DType.Bool) {
+    outB = new Array[Boolean](Block)
+    private val asD = e.dtype == DType.F64
+    private val set: Set[Any] = values.map[Any](v => if (asD) ExprEval.numAsDouble(v) else ExprEval.numAsLong(v)).toSet
+    protected def compute(lo: Int, hi: Int): Unit = {
+      e.ensure(lo, hi)
+      val n = hi - lo
+      base = 0
+      var i = 0
+      if (asD) { val a = e.blockD(n); val ab = e.dBase; while (i < n) { outB(i) = set.contains(a(ab + i)); i += 1 } }
+      else     { val a = e.blockL(n); val ab = e.lBase; while (i < n) { outB(i) = set.contains(a(ab + i)); i += 1 } }
+      validAs(e)
+    }
+  }
+
+  /** IS NULL, or IS NOT NULL if `isNotNull`: never NULL itself. */
+  private final class NullTestNode(e: CE, isNotNull: Boolean) extends CE(DType.Bool) {
     outB = new Array[Boolean](Block)
     protected def compute(lo: Int, hi: Int): Unit = {
       e.ensure(lo, hi)
       val n = hi - lo
-      val a = e.blockL(n); val ab = e.lBase
+      val v = e.outValid; val vb = e.vBase
       base = 0
-      var i = 0
-      while (i < n) { outB(i) = set.contains(a(ab + i)); i += 1 }
-      outNulls = e.outNulls
+      if (v == null) java.util.Arrays.fill(outB, 0, n, isNotNull)
+      else { var i = 0; while (i < n) { outB(i) = v(vb + i) == isNotNull; i += 1 } }
+      outValid = null
     }
   }
 
-  private final class InDNode(e: CE, set: Set[Double]) extends CE(DType.Bool) {
-    outB = new Array[Boolean](Block)
-    protected def compute(lo: Int, hi: Int): Unit = {
-      e.ensure(lo, hi)
-      val n = hi - lo
-      val a = e.blockD(n); val ab = e.dBase
-      base = 0
-      var i = 0
-      while (i < n) { outB(i) = set.contains(a(ab + i)); i += 1 }
-      outNulls = e.outNulls
-    }
-  }
-
-  private final class IsNullNode(e: CE, negated: Boolean) extends CE(DType.Bool) {
-    outB = new Array[Boolean](Block)
-    protected def compute(lo: Int, hi: Int): Unit = {
-      e.ensure(lo, hi)
-      val n = hi - lo
-      val en = e.outNulls
-      base = 0
-      var i = 0
-      while (i < n) { val nu = en != null && en(i); outB(i) = if (negated) !nu else nu; i += 1 }
-      outNulls = null
-    }
-  }
-
-  private final class CaseNode(branches: Array[(CE, CE)], elseC: CE, dt: DType) extends CE(dt) {
+  /** CASE over numeric results: `vals` holds one value per condition, then the ELSE value. */
+  private final class CaseNode(conds: Array[CE], vals: Array[CE], dt: DType) extends CE(dt) {
     private val asD = dt == DType.F64
-    outD = if (asD) new Array[Double](Block) else null
-    outL = if (asD) null else new Array[Long](Block)
-    private val nullBuf = new Array[Boolean](Block)
+    if (asD) outD = new Array[Double](Block) else outL = new Array[Long](Block)
+    private val validBuf = new Array[Boolean](Block)
+    // Per-value block buffers and offsets, hoisted out of the row loop.
+    private val srcD = new Array[Array[Double]](vals.length)
+    private val srcL = new Array[Array[Long]](vals.length)
+    private val srcOff = new Array[Int](vals.length)
     protected def compute(lo: Int, hi: Int): Unit = {
       val n = hi - lo
-      branches.foreach { case (c, v) => c.ensure(lo, hi); v.ensure(lo, hi) }
-      elseC.ensure(lo, hi)
-      // Hoist per-branch block buffers and bases out of the row loop.
-      val bD = if (asD) branches.map { case (_, v) => (v.blockD(n), v.dBase) } else null
-      val bL = if (asD) null else branches.map { case (_, v) => (v.blockL(n), v.lBase) }
-      val eD = if (asD) { val a = elseC.blockD(n); (a, elseC.dBase) } else null
-      val eL = if (asD) null else { val a = elseC.blockL(n); (a, elseC.lBase) }
+      conds.foreach(_.ensure(lo, hi))
+      vals.foreach(_.ensure(lo, hi))
+      var k = 0
+      while (k < vals.length) {
+        val v = vals(k)
+        if (asD) { srcD(k) = v.blockD(n); srcOff(k) = v.dBase }
+        else     { srcL(k) = v.blockL(n); srcOff(k) = v.lBase }
+        k += 1
+      }
       base = 0
-      var any = false
       var i = 0
       while (i < n) {
-        var k = 0
-        var done = false
-        while (!done && k < branches.length) {
-          val (c, v) = branches(k)
-          val condTrue = (c.outNulls == null || !c.outNulls(i)) && c.outB(c.base + i)
-          if (condTrue) {
-            val nu = v.outNulls != null && v.outNulls(i)
-            if (asD) { val (a, ab) = bD(k); outD(i) = if (nu) 0.0 else a(ab + i) }
-            else { val (a, ab) = bL(k); outL(i) = if (nu) 0L else a(ab + i) }
-            nullBuf(i) = nu
-            done = true
-          }
-          k += 1
-        }
-        if (!done) {
-          val nu = elseC.outNulls != null && elseC.outNulls(i)
-          if (asD) { val (a, ab) = eD; outD(i) = if (nu) 0.0 else a(ab + i) }
-          else { val (a, ab) = eL; outL(i) = if (nu) 0L else a(ab + i) }
-          nullBuf(i) = nu
-        }
-        any ||= nullBuf(i)
+        k = 0
+        while (k < conds.length && !(conds(k).isValid(i) && conds(k).outB(conds(k).base + i))) k += 1
+        val ok = vals(k).isValid(i)
+        if (asD) outD(i) = if (ok) srcD(k)(srcOff(k) + i) else 0.0
+        else     outL(i) = if (ok) srcL(k)(srcOff(k) + i) else 0L
+        validBuf(i) = ok
         i += 1
       }
-      outNulls = if (any) nullBuf else null
+      outValid = validBuf; vBase = 0
     }
   }
 
@@ -379,7 +287,7 @@ object ExprCompiler extends ExprBackend {
       val a = e.blockL(n)
       base = 0
       ExprEval.years(a, e.lBase, outL, 0, n)
-      outNulls = e.outNulls
+      validAs(e)
     }
   }
 
@@ -393,7 +301,7 @@ object ExprCompiler extends ExprBackend {
       base = 0
       if (asD) { val a = e.blockD(n); System.arraycopy(a, e.dBase, outD, 0, n) }
       else { val a = e.blockL(n); System.arraycopy(a, e.lBase, outL, 0, n) }
-      outNulls = e.outNulls
+      validAs(e)
     }
   }
 
@@ -404,64 +312,39 @@ object ExprCompiler extends ExprBackend {
     * string kernels) and enter as leaves.
     */
   def compile(e: Expr, table: TensorTable, env: ExecEnv): CE = e match {
-    case ColRef(n, _) => leafOf(table.column(n))
-
-    case Lit(v, dt) => dt match {
-      case DType.F64              => new ConstD(v.asInstanceOf[Double])
-      case DType.Bool             => new ConstB(v.asInstanceOf[Boolean])
-      case DType.Str              => throw new IllegalStateException("string literal must be folded by parent")
-      case DType.I64 | DType.Date => new ConstL(v.asInstanceOf[Long], dt)
-    }
-    case NullLit(dt) => new ConstNull(dt)
-    case ScalarSub(i, dt) =>
-      env.subquery(i) match {
-        case null                 => new ConstNull(dt)
-        case d: java.lang.Double  => new ConstD(d)
-        case l: java.lang.Long    => new ConstL(l, dt)
-        case b: java.lang.Boolean => new ConstB(b)
-        case o => throw new IllegalArgumentException(s"subquery scalar $o: $dt")
-      }
-    case AggRef(_, _) => throw new IllegalStateException("AggRef outside aggregation")
+    case ColRef(n, _)     => new Leaf(table.column(n))
+    case Lit(v, dt)       => new Const(v, dt)
+    case NullLit(dt)      => new Const(null, dt)
+    case ScalarSub(i, dt) => new Const(env.subquery(i), dt)
+    case AggRef(_, _)     => throw new IllegalStateException("AggRef outside aggregation")
 
     case a @ Arith(kind, l, r) => new ArithNode(kind.op, compile(l, table, env), compile(r, table, env), a.dtype)
 
     case Neg(x) =>
-      val minusOne = if (x.dtype == DType.F64) new ConstD(-1.0) else new ConstL(-1L, DType.I64)
+      val minusOne = if (x.dtype == DType.F64) new Const(-1.0, DType.F64) else new Const(-1L, DType.I64)
       new ArithNode(TensorOps.Mul, compile(x, table, env), minusOne, x.dtype)
 
     case c: Cmp if c.operandType == DType.Str => vectorFallback(e, table, env)
     case c @ Cmp(kind, l, r) =>
       new CmpNode(kind.op, compile(l, table, env), compile(r, table, env), c.operandType == DType.F64)
 
-    case And(l, r) => new AndNode(compile(l, table, env), compile(r, table, env))
-    case Or(l, r)  => new OrNode(compile(l, table, env), compile(r, table, env))
+    case And(l, r) => new KleeneNode(isOr = false, compile(l, table, env), compile(r, table, env))
+    case Or(l, r)  => new KleeneNode(isOr = true, compile(l, table, env), compile(r, table, env))
     case Not(x)    => new NotNode(compile(x, table, env))
 
     case InValues(x, _) if x.dtype == DType.Str => vectorFallback(e, table, env)
-    case InValues(x, values) =>
-      val c = compile(x, table, env)
-      if (x.dtype == DType.F64) new InDNode(c, values.map {
-        case d: java.lang.Double  => d.doubleValue
-        case l: java.lang.Long    => l.toDouble
-        case i: java.lang.Integer => i.toDouble
-        case o => throw new IllegalArgumentException(s"IN value $o")
-      }.toSet)
-      else new InLNode(c, values.map {
-        case l: java.lang.Long    => l.longValue
-        case i: java.lang.Integer => i.toLong
-        case o => throw new IllegalArgumentException(s"IN value $o")
-      }.toSet)
+    case InValues(x, values) => new InNode(compile(x, table, env), values)
 
-    case IsNull(x)    => new IsNullNode(compile(x, table, env), negated = false)
-    case IsNotNull(x) => new IsNullNode(compile(x, table, env), negated = true)
+    case (IsNull(_) | IsNotNull(_)) if e.children.head.dtype == DType.Str => vectorFallback(e, table, env)
+    case IsNull(x)    => new NullTestNode(compile(x, table, env), isNotNull = false)
+    case IsNotNull(x) => new NullTestNode(compile(x, table, env), isNotNull = true)
 
     case cw @ CaseWhen(branches, elseValue) =>
-      if (cw.dtype == DType.Str) vectorFallback(e, table, env)
-      else {
-        val bs = branches.map { case (c, v) => (compile(c, table, env), compile(v, table, env)) }.toArray
-        val el = elseValue.map(compile(_, table, env)).getOrElse(new ConstNull(cw.dtype))
-        new CaseNode(bs, el, cw.dtype)
-      }
+      require(cw.supported, s"CASE over ${cw.dtype} unsupported")
+      val conds = branches.map { case (c, _) => compile(c, table, env) }
+      val vals  = branches.map { case (_, v) => compile(v, table, env) } :+
+        elseValue.map(compile(_, table, env)).getOrElse(new Const(null, cw.dtype))
+      new CaseNode(conds.toArray, vals.toArray, cw.dtype)
 
     case CastTo(x, dt) =>
       val c = compile(x, table, env)
@@ -476,19 +359,9 @@ object ExprCompiler extends ExprBackend {
     case Year(x) => new YearNode(compile(x, table, env))
   }
 
-  private def leafOf(c: Column): CE = {
-    val valid = c.validity.orNull
-    c.dtype match {
-      case DType.F64              => new LeafD(c.f64.data, valid)
-      case DType.Bool             => new LeafB(c.bool.data, valid)
-      case DType.I64 | DType.Date => new LeafL(c.i64.data, valid, c.dtype)
-      case DType.Str              => throw new IllegalStateException("string leaf must be consumed by a string kernel")
-    }
-  }
-
   /** Pre-lower a string-touching subtree via the vectorized interpreter. */
   private def vectorFallback(e: Expr, table: TensorTable, env: ExecEnv): CE =
-    leafOf(ExprEval.evalToColumn(e, table, env))
+    new Leaf(ExprEval.evalToColumn(e, table, env))
 
   /** Evaluate a whole expression fused block-by-block into a Column. */
   def evalToColumn(e: Expr, table: TensorTable, env: ExecEnv, name: String): Column = {
@@ -500,52 +373,37 @@ object ExprCompiler extends ExprBackend {
     }
     val n  = table.numRows
     val ce = compile(e, table, env)
-    var valid: Array[Boolean] = null
-    def markNulls(blockNulls: Array[Boolean], lo: Int, m: Int): Unit = {
-      if (blockNulls == null) return
-      if (valid == null) valid = Array.fill(n)(true)
-      var i = 0
-      while (i < m) { if (blockNulls(i)) valid(lo + i) = false; i += 1 }
+    val out: Tensor = e.dtype match {
+      case DType.F64  => F64Tensor(new Array[Double](n))
+      case DType.Bool => BoolTensor(new Array[Boolean](n))
+      case _          => I64Tensor(new Array[Long](n))
     }
-    val col = e.dtype match {
-      case DType.F64 =>
-        val out = new Array[Double](n)
-        var lo = 0
-        while (lo < n) {
-          val hi = math.min(n, lo + Block)
-          ce.ensure(lo, hi)
-          val a = ce.blockD(hi - lo)
-          System.arraycopy(a, ce.dBase, out, lo, hi - lo)
-          markNulls(ce.outNulls, lo, hi - lo)
-          lo = hi
-        }
-        Column(name, DType.F64, F64Tensor(out), Option(valid))
-      case DType.Bool =>
-        val out = new Array[Boolean](n)
-        var lo = 0
-        while (lo < n) {
-          val hi = math.min(n, lo + Block)
-          ce.ensure(lo, hi)
-          System.arraycopy(ce.outB, ce.base, out, lo, hi - lo)
-          markNulls(ce.outNulls, lo, hi - lo)
-          lo = hi
-        }
-        Column(name, DType.Bool, BoolTensor(out), Option(valid))
-      case dt =>
-        val out = new Array[Long](n)
-        var lo = 0
-        while (lo < n) {
-          val hi = math.min(n, lo + Block)
-          ce.ensure(lo, hi)
-          val a = ce.blockL(hi - lo)
-          System.arraycopy(a, ce.lBase, out, lo, hi - lo)
-          markNulls(ce.outNulls, lo, hi - lo)
-          lo = hi
-        }
-        Column(name, dt, I64Tensor(out), Option(valid))
+    // Allocated at the first block with a NULL row, so a null-free result has no mask.
+    var valid: Array[Boolean] = null
+    var lo = 0
+    while (lo < n) {
+      val hi = math.min(n, lo + Block)
+      val m = hi - lo
+      ce.ensure(lo, hi)
+      out match {
+        case F64Tensor(d)  => System.arraycopy(ce.blockD(m), ce.dBase, d, lo, m)
+        case BoolTensor(d) => System.arraycopy(ce.outB, ce.base, d, lo, m)
+        case I64Tensor(d)  => System.arraycopy(ce.blockL(m), ce.lBase, d, lo, m)
+      }
+      val bv = ce.outValid
+      if (valid == null && bv != null) {
+        var i = 0
+        while (i < m && bv(ce.vBase + i)) i += 1
+        if (i < m) { valid = new Array[Boolean](n); java.util.Arrays.fill(valid, 0, lo, true) }
+      }
+      if (valid != null) {
+        if (bv == null) java.util.Arrays.fill(valid, lo, hi, true)
+        else System.arraycopy(bv, ce.vBase, valid, lo, m)
+      }
+      lo = hi
     }
     Profile.rec("fusedExpr", OpClass.ElementWise, n, n.toLong * 8L * (countNodes(e) + 1))
-    col
+    Column(name, e.dtype, out, Option(valid))
   }
 
   /** Fused filter mask (NULL ⇒ false). */
@@ -557,11 +415,8 @@ object ExprCompiler extends ExprBackend {
     while (lo < n) {
       val hi = math.min(n, lo + Block)
       ce.ensure(lo, hi)
-      val nulls = ce.outNulls
-      val a = ce.outB; val ab = ce.base
-      var i = 0
-      val m = hi - lo
-      while (i < m) { out(lo + i) = a(ab + i) && (nulls == null || !nulls(i)); i += 1 }
+      if (ce.outValid == null) System.arraycopy(ce.outB, ce.base, out, lo, hi - lo)
+      else TensorOps.and(ce.outB, ce.base, ce.outValid, ce.vBase, out, lo, hi - lo)
       lo = hi
     }
     Profile.rec("fusedFilter", OpClass.ElementWise, n, n.toLong * (8L * countNodes(e) + 1))

@@ -34,8 +34,9 @@ object ExprEval extends ExprBackend {
           case None => c.bool
           case Some(valid) =>
             val out = new Array[Boolean](c.length)
-            var i = 0
-            while (i < c.length) { out(i) = valid(i) && c.bool.data(i); i += 1 }
+            ExecCtx.current.device.parallelRanges(c.length) { (s, e) =>
+              TensorOps.and(c.bool.data, s, valid, s, out, s, e - s)
+            }
             BoolTensor(out)
         }
       case ScalarVal(v, _) => BoolTensor.fill(table.numRows, v == true)
@@ -71,19 +72,8 @@ object ExprEval extends ExprBackend {
         case ScalarVal(v, _) => ScalarVal(v != null && values.contains(v), DType.Bool)
       }
 
-    case IsNull(x) =>
-      eval(x, table, env) match {
-        case VecVal(c) =>
-          val valid = c.validity.getOrElse(Array.fill(c.length)(true))
-          VecVal(Column("", DType.Bool, BoolTensor(valid.map(!_)), None))
-        case ScalarVal(v, _) => ScalarVal(v == null, DType.Bool)
-      }
-    case IsNotNull(x) =>
-      eval(x, table, env) match {
-        case VecVal(c) =>
-          VecVal(Column("", DType.Bool, BoolTensor(c.validity.getOrElse(Array.fill(c.length)(true)).clone()), None))
-        case ScalarVal(v, _) => ScalarVal(v != null, DType.Bool)
-      }
+    case IsNull(x)    => nullTest(eval(x, table, env), isNotNull = false)
+    case IsNotNull(x) => nullTest(eval(x, table, env), isNotNull = true)
 
     case cw @ CaseWhen(branches, elseValue) => evalCase(cw, branches, elseValue, table, env)
 
@@ -121,18 +111,6 @@ object ExprEval extends ExprBackend {
   // Helpers
   // ----------------------------------------------------------------
 
-  private def andValidity(a: Option[Array[Boolean]], b: Option[Array[Boolean]]): Option[Array[Boolean]] =
-    (a, b) match {
-      case (None, None)       => None
-      case (Some(x), None)    => Some(x)
-      case (None, Some(y))    => Some(y)
-      case (Some(x), Some(y)) =>
-        val out = new Array[Boolean](x.length)
-        var i = 0
-        while (i < out.length) { out(i) = x(i) && y(i); i += 1 }
-        Some(out)
-    }
-
   private def asVec(v: EvalVal, n: Int): Column = v match {
     case VecVal(c) => c
     case ScalarVal(x, dt) =>
@@ -143,7 +121,7 @@ object ExprEval extends ExprBackend {
           case DType.Bool => BoolTensor.fill(n, false)
           case _          => I64Tensor.fill(n, 0L)
         }
-        Column("", dt, t, Some(Array.fill(n)(false)))
+        Column("", dt, t, Some(new Array[Boolean](n)))
       } else {
         val t: Tensor = dt match {
           case DType.I64 | DType.Date => I64Tensor.fill(n, x.asInstanceOf[Long])
@@ -155,14 +133,14 @@ object ExprEval extends ExprBackend {
       }
   }
 
-  private def numAsDouble(v: Any): Double = v match {
+  private[expr] def numAsDouble(v: Any): Double = v match {
     case d: java.lang.Double => d
     case l: java.lang.Long   => l.toDouble
     case i: java.lang.Integer => i.toDouble
     case o => throw new IllegalArgumentException(s"not numeric: $o")
   }
 
-  private def numAsLong(v: Any): Long = v match {
+  private[expr] def numAsLong(v: Any): Long = v match {
     case l: java.lang.Long    => l
     case i: java.lang.Integer => i.toLong
     case d: java.lang.Double  => d.toLong
@@ -206,7 +184,7 @@ object ExprEval extends ExprBackend {
           case other         => throw new IllegalStateException(s"scalar result $other")
         }, dt)
       case _ =>
-        val validity = andValidity(andValidity(validityOf(lv), validityOf(rv)), valid.map(_.data))
+        val validity = Column.validWhereBoth(Column.validWhereBoth(validityOf(lv), validityOf(rv)), valid.map(_.data))
         VecVal(Column("", dt, t, validity))
     }
 
@@ -280,20 +258,12 @@ object ExprEval extends ExprBackend {
   // Boolean connectives / IN / CASE / CAST
   // ----------------------------------------------------------------
 
-  /** SQL three-valued AND/OR (Kleene): null OR true = true, null AND false
-    * = false; null only survives when the known operand cannot decide.
-    */
+  /** SQL three-valued AND/OR (TensorOps.kleene); two scalars give a scalar. */
   private def evalBool2(lv: EvalVal, rv: EvalVal, n: Int, isOr: Boolean): EvalVal =
     (lv, rv) match {
-      case (ScalarVal(a, _), ScalarVal(b, _)) =>
-        (a, b) match {
-          case (null, null) => ScalarVal(null, DType.Bool)
-          case (null, x: java.lang.Boolean) => if (x == isOr) ScalarVal(isOr, DType.Bool) else ScalarVal(null, DType.Bool)
-          case (x: java.lang.Boolean, null) => if (x == isOr) ScalarVal(isOr, DType.Bool) else ScalarVal(null, DType.Bool)
-          case _ =>
-            val (x, y) = (a.asInstanceOf[Boolean], b.asInstanceOf[Boolean])
-            ScalarVal(if (isOr) x || y else x && y, DType.Bool)
-        }
+      case (ScalarVal(_, _), ScalarVal(_, _)) =>
+        val c = kleene(isOr, asVec(lv, 1), asVec(rv, 1))
+        ScalarVal(if (c.isValid(0)) c.bool.data(0) else null, DType.Bool)
       case _ =>
         val a = asVec(lv, n); val b = asVec(rv, n)
         if (a.validity.isEmpty && b.validity.isEmpty) {
@@ -301,29 +271,35 @@ object ExprEval extends ExprBackend {
                   else TensorOps.logicalAnd(a.bool, b.bool)
           VecVal(Column("", DType.Bool, t, None))
         } else {
-          val av = a.validity.getOrElse(Array.fill(n)(true))
-          val bv = b.validity.getOrElse(Array.fill(n)(true))
-          val out   = new Array[Boolean](n)
-          val valid = new Array[Boolean](n)
-          var i = 0
-          while (i < n) {
-            val aKnown = av(i); val bKnown = bv(i)
-            val aVal = aKnown && a.bool.data(i)
-            val bVal = bKnown && b.bool.data(i)
-            if (isOr) {
-              out(i)   = aVal || bVal
-              valid(i) = out(i) || (aKnown && bKnown)
-            } else {
-              val falseKnown = (aKnown && !a.bool.data(i)) || (bKnown && !b.bool.data(i))
-              out(i)   = aKnown && bKnown && a.bool.data(i) && b.bool.data(i)
-              valid(i) = falseKnown || (aKnown && bKnown)
-            }
-            i += 1
-          }
           Profile.rec("logical3v", OpClass.ElementWise, n, n * 5L)
-          VecVal(Column("", DType.Bool, BoolTensor(out), Some(valid)))
+          VecVal(kleene(isOr, a, b))
         }
     }
+
+  /** Kleene AND/OR of two equally long boolean columns, chunk-parallel. */
+  private def kleene(isOr: Boolean, a: Column, b: Column): Column = {
+    val av = a.validity.orNull; val bv = b.validity.orNull
+    val out = new Array[Boolean](a.length)
+    val valid = if (av == null && bv == null) null else new Array[Boolean](a.length)
+    ExecCtx.current.device.parallelRanges(a.length) { (s, e) =>
+      TensorOps.kleene(isOr, a.bool.data, s, av, s, b.bool.data, s, bv, s, out, valid, s, e - s)
+    }
+    Column("", DType.Bool, BoolTensor(out), Option(valid))
+  }
+
+  /** IS NULL, or IS NOT NULL if `isNotNull`: never NULL itself. */
+  private def nullTest(v: EvalVal, isNotNull: Boolean): EvalVal = v match {
+    case VecVal(c) =>
+      val out = new Array[Boolean](c.length)
+      c.validity match {
+        case None => java.util.Arrays.fill(out, isNotNull)
+        case Some(valid) =>
+          var i = 0
+          while (i < out.length) { out(i) = valid(i) == isNotNull; i += 1 }
+      }
+      VecVal(Column("", DType.Bool, BoolTensor(out), None))
+    case ScalarVal(x, _) => ScalarVal((x != null) == isNotNull, DType.Bool)
+  }
 
   private def evalIn(c: Column, values: Seq[Any]): Column = c.dtype match {
     case DType.Str =>
@@ -338,23 +314,24 @@ object ExprEval extends ExprBackend {
 
   private def evalCase(cw: CaseWhen, branches: Seq[(Expr, Expr)], elseValue: Option[Expr],
                        table: TensorTable, env: ExecEnv): EvalVal = {
+    require(cw.supported, s"CASE over ${cw.dtype} unsupported")
     val n = table.numRows
     val dt = cw.dtype
-    require(dt == DType.F64 || dt == DType.I64 || dt == DType.Date,
-      s"CASE over $dt unsupported")
     val elseCol = elseValue.map(e => asVec(eval(e, table, env), n))
     // Fold from the last branch backwards: result = where(cond, branch, acc).
     var acc: Column = elseCol.getOrElse(asVec(ScalarVal(null, dt), n))
     branches.reverse.foreach { case (condE, valE) =>
       val mask = evalMask(condE, table, env)
       val v    = asVec(eval(valE, table, env), n)
-      val validity = (v.validity, acc.validity) match {
-        case (None, None) => None
-        case _ =>
-          val vv = v.validity.getOrElse(Array.fill(n)(true))
-          val av = acc.validity.getOrElse(Array.fill(n)(true))
-          Some(Array.tabulate(n)(i => if (mask.data(i)) vv(i) else av(i)))
-      }
+      val validity =
+        if (v.validity.isEmpty && acc.validity.isEmpty) None
+        else {
+          val vv = v.validity.orNull; val av = acc.validity.orNull
+          val out = new Array[Boolean](n)
+          var i = 0
+          while (i < n) { out(i) = if (mask.data(i)) vv == null || vv(i) else av == null || av(i); i += 1 }
+          Some(out)
+        }
       acc =
         if (dt == DType.F64) {
           val vf = if (isF64(v.dtype)) v.f64 else TensorOps.toF64(v.i64)

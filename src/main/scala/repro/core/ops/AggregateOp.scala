@@ -89,13 +89,12 @@ object AggregateOp {
     val arg = exprs.evalToColumn(call.arg.get, input, env)
     if (call.distinct) return computeDistinct(call, arg, groups)
 
-    val counts = arg.validity match {
-      case None    => rowCounts
-      case Some(v) => TensorOps.scatterAdd(I64Tensor(v.map(b => if (b) 1L else 0L)), rowGroup, nSeg)
-    }
+    val counts =
+      if (arg.validity.isEmpty) rowCounts
+      else TensorOps.scatterReduce(TensorOps.Sum, fillInvalid(I64Tensor.fill(arg.length, 1L), arg.validity, 0L), rowGroup, nSeg)
     val validity = nullIfEmpty(counts)
-    def sumF = TensorOps.scatterAdd(fillInvalid(arg.f64, arg.validity, 0.0), rowGroup, nSeg)
-    def sumL = TensorOps.scatterAdd(fillInvalid(arg.i64, arg.validity, 0L), rowGroup, nSeg)
+    def sumF = TensorOps.scatterReduce(TensorOps.Sum, fillInvalid(arg.f64, arg.validity, 0.0), rowGroup, nSeg)
+    def sumL = TensorOps.scatterReduce(TensorOps.Sum, fillInvalid(arg.i64, arg.validity, 0L), rowGroup, nSeg)
 
     call.fn match {
       case Count => Column("", DType.I64, counts, None)
@@ -110,17 +109,17 @@ object AggregateOp {
 
       case Min | Max =>
         val isMin = call.fn == Min
+        val op = if (isMin) TensorOps.Min else TensorOps.Max
         if (arg.dtype == DType.F64) {
           val vals = fillInvalid(arg.f64, arg.validity, if (isMin) Double.PositiveInfinity else Double.NegativeInfinity)
-          val t = if (isMin) TensorOps.scatterMin(vals, rowGroup, nSeg) else TensorOps.scatterMax(vals, rowGroup, nSeg)
-          Column("", DType.F64, t, validity)
+          Column("", DType.F64, TensorOps.scatterReduce(op, vals, rowGroup, nSeg), validity)
         } else {
           // Strings reduce on dictionary ranks, then decode.
           val (codes, dict) =
             if (arg.dtype == DType.Str) { val (c, d) = StringTensor.dictEncode(arg.str); (c, Some(d)) }
             else (arg.i64, None)
           val vals = fillInvalid(codes, arg.validity, if (isMin) Long.MaxValue else Long.MinValue)
-          val t = if (isMin) TensorOps.scatterMin(vals, rowGroup, nSeg) else TensorOps.scatterMax(vals, rowGroup, nSeg)
+          val t = TensorOps.scatterReduce(op, vals, rowGroup, nSeg)
           dict match {
             case None => Column("", arg.dtype, t, validity)
             case Some(d) =>
@@ -165,16 +164,21 @@ object AggregateOp {
       case Count =>
         Column("", DType.I64, counts, None)
       case Sum if arg.dtype == DType.F64 =>
-        Column("", DType.F64, TensorOps.scatterAdd(TensorOps.maskedSelect(arg.f64, mask), segSel, nSeg), nullIfEmpty(counts))
+        Column("", DType.F64, TensorOps.scatterReduce(TensorOps.Sum, TensorOps.maskedSelect(arg.f64, mask), segSel, nSeg), nullIfEmpty(counts))
       case Sum =>
-        Column("", DType.I64, TensorOps.scatterAdd(TensorOps.maskedSelect(arg.i64, mask), segSel, nSeg), nullIfEmpty(counts))
+        Column("", DType.I64, TensorOps.scatterReduce(TensorOps.Sum, TensorOps.maskedSelect(arg.i64, mask), segSel, nSeg), nullIfEmpty(counts))
       case other => throw new IllegalArgumentException(s"DISTINCT unsupported for $other")
     }
   }
 
   /** NULL for groups with no non-null input (SQL SUM/AVG/MIN/MAX). */
-  private def nullIfEmpty(counts: I64Tensor): Option[Array[Boolean]] =
-    if (counts.data.exists(_ == 0L)) Some(counts.data.map(_ > 0L)) else None
+  private def nullIfEmpty(counts: I64Tensor): Option[Array[Boolean]] = {
+    val valid = new Array[Boolean](counts.length)
+    var allValid = true
+    var i = 0
+    while (i < valid.length) { valid(i) = counts.data(i) > 0L; allValid &&= valid(i); i += 1 }
+    if (allValid) None else Some(valid)
+  }
 
   /** `values` with null rows replaced by `fill` (no copy when none is null). */
   private[ops] def fillInvalid(values: I64Tensor, validity: Option[Array[Boolean]], fill: Long): I64Tensor =

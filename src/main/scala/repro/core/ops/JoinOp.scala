@@ -91,27 +91,15 @@ object JoinOp {
     */
   private def encodeWithNulls(lCols: Seq[Column], rCols: Seq[Column]): (I64Tensor, I64Tensor, Int) = {
     val (lc, rc, k) = KeyEncoder.encodeJoint(lCols, rCols)
-    val lInvalid = combinedInvalid(lCols)
-    val rInvalid = combinedInvalid(rCols)
-    if (lInvalid.isEmpty && rInvalid.isEmpty) (lc, rc, k)
+    val lValid = lCols.map(_.validity).reduce(Column.validWhereBoth)
+    val rValid = rCols.map(_.validity).reduce(Column.validWhereBoth)
+    if (lValid.isEmpty && rValid.isEmpty) (lc, rc, k)
     else {
       val lOut = lc.data.clone()
-      lInvalid.foreach { inv => var i = 0; while (i < lOut.length) { if (inv(i)) lOut(i) = k; i += 1 } }
+      lValid.foreach { v => var i = 0; while (i < lOut.length) { if (!v(i)) lOut(i) = k; i += 1 } }
       val rOut = rc.data.clone()
-      rInvalid.foreach { inv => var i = 0; while (i < rOut.length) { if (inv(i)) rOut(i) = k + 1; i += 1 } }
+      rValid.foreach { v => var i = 0; while (i < rOut.length) { if (!v(i)) rOut(i) = k + 1; i += 1 } }
       (I64Tensor(lOut), I64Tensor(rOut), k + 2)
-    }
-  }
-
-  private def combinedInvalid(cols: Seq[Column]): Option[Array[Boolean]] = {
-    if (cols.forall(_.validity.isEmpty)) None
-    else {
-      val n = cols.head.length
-      val inv = new Array[Boolean](n)
-      cols.foreach(_.validity.foreach { v =>
-        var i = 0; while (i < n) { inv(i) ||= !v(i); i += 1 }
-      })
-      Some(inv)
     }
   }
 

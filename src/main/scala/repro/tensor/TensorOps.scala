@@ -241,26 +241,67 @@ object TensorOps {
   }
 
   // ------------------------------------------------------------------
-  // Logical
+  // Logical and null logic. A validity mask holds true for each valid row;
+  // a null mask stands for "every row is valid". Both expression backends
+  // run these range kernels: the interpreted one on whole columns, the
+  // fused one on blocks.
   // ------------------------------------------------------------------
 
-  def logicalAnd(a: BoolTensor, b: BoolTensor): BoolTensor = {
-    require(a.length == b.length, "logicalAnd: length mismatch")
-    val out = new Array[Boolean](a.length)
-    ExecCtx.current.device.parallelRanges(a.length) { (s, e) =>
-      var i = s; while (i < e) { out(i) = a.data(i) && b.data(i); i += 1 }
-    }
-    Profile.rec("logicalAnd", ElementWise, a.length, a.length * 3L)
-    BoolTensor(out)
+  /** `out(oOff + i) = a(aOff + i) && b(bOff + i)` for `i < n`: the rows valid in both masks. */
+  def and(a: Array[Boolean], aOff: Int, b: Array[Boolean], bOff: Int,
+          out: Array[Boolean], oOff: Int, n: Int): Unit = {
+    var i = 0
+    while (i < n) { out(oOff + i) = a(aOff + i) && b(bOff + i); i += 1 }
   }
 
-  def logicalOr(a: BoolTensor, b: BoolTensor): BoolTensor = {
-    require(a.length == b.length, "logicalOr: length mismatch")
+  /** SQL three-valued (Kleene) AND, or OR if `isOr`, of `a` and `b` with
+    * validity masks `aValid` and `bValid`, for `i < n`: writes the value to
+    * `out(oOff + i)` and the validity to `valid(oOff + i)`. NULL AND FALSE is
+    * FALSE and NULL OR TRUE is TRUE; otherwise a NULL operand makes the row
+    * NULL, and a NULL row's value is false. With both masks null every row is
+    * valid and `valid` is not written (it may be null).
+    */
+  def kleene(isOr: Boolean,
+             a: Array[Boolean], aOff: Int, aValid: Array[Boolean], avOff: Int,
+             b: Array[Boolean], bOff: Int, bValid: Array[Boolean], bvOff: Int,
+             out: Array[Boolean], valid: Array[Boolean], oOff: Int, n: Int): Unit = {
+    var i = 0
+    if (aValid == null && bValid == null) {
+      if (isOr) while (i < n) { out(oOff + i) = a(aOff + i) || b(bOff + i); i += 1 }
+      else      while (i < n) { out(oOff + i) = a(aOff + i) && b(bOff + i); i += 1 }
+    } else {
+      val aAll = aValid == null
+      val bAll = bValid == null
+      if (isOr) while (i < n) {
+        val aKnown = aAll || aValid(avOff + i)
+        val bKnown = bAll || bValid(bvOff + i)
+        val v = (aKnown && a(aOff + i)) || (bKnown && b(bOff + i))
+        out(oOff + i) = v
+        valid(oOff + i) = v || (aKnown && bKnown)
+        i += 1
+      } else while (i < n) {
+        val aKnown = aAll || aValid(avOff + i)
+        val bKnown = bAll || bValid(bvOff + i)
+        val falseKnown = (aKnown && !a(aOff + i)) || (bKnown && !b(bOff + i))
+        out(oOff + i) = aKnown && bKnown && !falseKnown
+        valid(oOff + i) = falseKnown || (aKnown && bKnown)
+        i += 1
+      }
+    }
+  }
+
+  def logicalAnd(a: BoolTensor, b: BoolTensor): BoolTensor = logical(isOr = false, a, b)
+
+  def logicalOr(a: BoolTensor, b: BoolTensor): BoolTensor = logical(isOr = true, a, b)
+
+  private def logical(isOr: Boolean, a: BoolTensor, b: BoolTensor): BoolTensor = {
+    val name = if (isOr) "logicalOr" else "logicalAnd"
+    require(a.length == b.length, s"$name: length mismatch")
     val out = new Array[Boolean](a.length)
     ExecCtx.current.device.parallelRanges(a.length) { (s, e) =>
-      var i = s; while (i < e) { out(i) = a.data(i) || b.data(i); i += 1 }
+      kleene(isOr, a.data, s, null, 0, b.data, s, null, 0, out, null, s, e - s)
     }
-    Profile.rec("logicalOr", ElementWise, a.length, a.length * 3L)
+    Profile.rec(name, ElementWise, a.length, a.length * 3L)
     BoolTensor(out)
   }
 
@@ -494,71 +535,55 @@ object TensorOps {
   // Scatter reductions (grouped aggregates: scatter_add / min / max)
   // ------------------------------------------------------------------
 
-  def scatterAdd(values: F64Tensor, segIds: I64Tensor, nSeg: Int): F64Tensor = {
-    require(values.length == segIds.length, "scatterAdd: length mismatch")
+  // Op codes, literal `final val`s like the element-wise ones.
+  final val Sum = 0
+  final val Min = 1
+  final val Max = 2
+
+  private val reduceNames = Array("Add", "Min", "Max").map("scatter" + _)
+
+  /** `out(g)` = the Sum, Min or Max of `values(i)` over the rows `i` with
+    * `segIds(i) == g`, for `g < nSeg`; an empty segment holds 0 (Sum), the
+    * largest value (Min) or the smallest value (Max).
+    */
+  def scatterReduce(op: Int, values: F64Tensor, segIds: I64Tensor, nSeg: Int): F64Tensor = {
+    require(values.length == segIds.length, s"${reduceNames(op)}: length mismatch")
+    val v = values.data; val seg = segIds.data
     val out = new Array[Double](nSeg)
     var i = 0
-    while (i < values.length) { out(segIds.data(i).toInt) += values.data(i); i += 1 }
-    Profile.rec("scatterAdd", Scatter, values.length, values.length * 24L)
+    (op: @switch) match {
+      case Sum => while (i < v.length) { out(seg(i).toInt) += v(i); i += 1 }
+      case Min =>
+        java.util.Arrays.fill(out, Double.PositiveInfinity)
+        while (i < v.length) { val g = seg(i).toInt; if (v(i) < out(g)) out(g) = v(i); i += 1 }
+      case Max =>
+        java.util.Arrays.fill(out, Double.NegativeInfinity)
+        while (i < v.length) { val g = seg(i).toInt; if (v(i) > out(g)) out(g) = v(i); i += 1 }
+    }
+    Profile.rec(reduceNames(op), Scatter, v.length, v.length * 24L)
     F64Tensor(out)
   }
 
-  def scatterAdd(values: I64Tensor, segIds: I64Tensor, nSeg: Int): I64Tensor = {
-    require(values.length == segIds.length, "scatterAdd: length mismatch")
+  def scatterReduce(op: Int, values: I64Tensor, segIds: I64Tensor, nSeg: Int): I64Tensor = {
+    require(values.length == segIds.length, s"${reduceNames(op)}: length mismatch")
+    val v = values.data; val seg = segIds.data
     val out = new Array[Long](nSeg)
     var i = 0
-    while (i < values.length) { out(segIds.data(i).toInt) += values.data(i); i += 1 }
-    Profile.rec("scatterAdd", Scatter, values.length, values.length * 24L)
+    (op: @switch) match {
+      case Sum => while (i < v.length) { out(seg(i).toInt) += v(i); i += 1 }
+      case Min =>
+        java.util.Arrays.fill(out, Long.MaxValue)
+        while (i < v.length) { val g = seg(i).toInt; if (v(i) < out(g)) out(g) = v(i); i += 1 }
+      case Max =>
+        java.util.Arrays.fill(out, Long.MinValue)
+        while (i < v.length) { val g = seg(i).toInt; if (v(i) > out(g)) out(g) = v(i); i += 1 }
+    }
+    Profile.rec(reduceNames(op), Scatter, v.length, v.length * 24L)
     I64Tensor(out)
   }
 
-  def scatterMin(values: F64Tensor, segIds: I64Tensor, nSeg: Int): F64Tensor = {
-    val out = F64Tensor.fill(nSeg, Double.PositiveInfinity).data
-    var i = 0
-    while (i < values.length) {
-      val s = segIds.data(i).toInt
-      if (values.data(i) < out(s)) out(s) = values.data(i)
-      i += 1
-    }
-    Profile.rec("scatterMin", Scatter, values.length, values.length * 24L)
-    F64Tensor(out)
-  }
-
-  def scatterMax(values: F64Tensor, segIds: I64Tensor, nSeg: Int): F64Tensor = {
-    val out = F64Tensor.fill(nSeg, Double.NegativeInfinity).data
-    var i = 0
-    while (i < values.length) {
-      val s = segIds.data(i).toInt
-      if (values.data(i) > out(s)) out(s) = values.data(i)
-      i += 1
-    }
-    Profile.rec("scatterMax", Scatter, values.length, values.length * 24L)
-    F64Tensor(out)
-  }
-
-  def scatterMin(values: I64Tensor, segIds: I64Tensor, nSeg: Int): I64Tensor = {
-    val out = I64Tensor.fill(nSeg, Long.MaxValue).data
-    var i = 0
-    while (i < values.length) {
-      val s = segIds.data(i).toInt
-      if (values.data(i) < out(s)) out(s) = values.data(i)
-      i += 1
-    }
-    Profile.rec("scatterMin", Scatter, values.length, values.length * 24L)
-    I64Tensor(out)
-  }
-
-  def scatterMax(values: I64Tensor, segIds: I64Tensor, nSeg: Int): I64Tensor = {
-    val out = I64Tensor.fill(nSeg, Long.MinValue).data
-    var i = 0
-    while (i < values.length) {
-      val s = segIds.data(i).toInt
-      if (values.data(i) > out(s)) out(s) = values.data(i)
-      i += 1
-    }
-    Profile.rec("scatterMax", Scatter, values.length, values.length * 24L)
-    I64Tensor(out)
-  }
+  def scatterAdd(values: F64Tensor, segIds: I64Tensor, nSeg: Int): F64Tensor = scatterReduce(Sum, values, segIds, nSeg)
+  def scatterAdd(values: I64Tensor, segIds: I64Tensor, nSeg: Int): I64Tensor = scatterReduce(Sum, values, segIds, nSeg)
 
   /** `scatter_` with overwrite semantics (last write wins) — the hash-table
     * build primitive of Algorithm 2 line 8.

@@ -107,6 +107,29 @@ class TqpSmokeSpec extends SparkSpec {
     assert(err.getMessage.toLowerCase.contains("unsupported"))
   }
 
+  test("CASE over strings or booleans fails at compile time, in both modes") {
+    val sqls = Seq(
+      "select k, case when k > 5 then s else 'none' end as c from t",
+      "select k, case when k > 5 then s = 'foo' else v > 30.0 end as c from t")
+    for (sql <- sqls; cfg <- Seq(TqpConfig.interpreted, TqpConfig.compiledMode)) {
+      val err = intercept[repro.core.compile.UnsupportedPlanException](tqp.run(sql, cfg))
+      assert(err.getMessage.startsWith("CASE/IF/COALESCE over"), err.getMessage)
+    }
+  }
+
+  test("register refuses a second table with the same column names, and re-registers a name") {
+    val s = new TqpSession(spark)
+    val schema = StructType(Seq(StructField("alias_a", LongType), StructField("alias_b", DoubleType)))
+    def df(n: Int) = spark.createDataFrame((1 to n).map(i => Row(i.toLong, i * 0.5)).asJava, schema)
+    s.register("alias_one", df(3))
+    val err = intercept[IllegalArgumentException](s.register("alias_two", df(4)))
+    assert(err.getMessage.contains("alias_one"))
+    assert(s.registeredTables == Seq("alias_one"))
+    s.register("alias_one", df(5))
+    assert(s.tensorTable("alias_one").numRows == 5)
+    assert(s.run("select sum(alias_a) as x from alias_one").column("x").i64.data.toSeq == Seq(15L))
+  }
+
   test("IR tree renders") {
     val ir = tqp.compile("select k, sum(v) as s from t where v > 1.0 group by k order by k limit 5")
     val s = repro.core.ir.IROp.treeString(ir.plan)

@@ -17,6 +17,8 @@ class ExprEvalSpec extends AnyFunSuite {
     Column("n", DType.F64, F64Tensor(Array(1.0, 0.0, 3.0, 0.0)),
       Some(Array(true, false, true, false))),
     Column("s", DType.Str, StringTensor.fromStrings(Array("x", "y", "x", "z"))),
+    Column("sn", DType.Str, StringTensor.fromStrings(Array("x", "", "", "z")),
+      Some(Array(true, false, false, true))),
   ))
 
   private def both(e: Expr, t: TensorTable = table): (Column, Column) =
@@ -71,6 +73,13 @@ class ExprEvalSpec extends AnyFunSuite {
     val (i2, c2) = bothMask(IsNotNull(ColRef("n", DType.F64)))
     assert(i2 == Seq(true, false, true, false))
     assert(c2 == i2)
+    // Over a string column, too.
+    val (i3, c3) = bothMask(IsNull(ColRef("sn", DType.Str)))
+    assert(i3 == Seq(false, true, true, false))
+    assert(c3 == i3)
+    val (i4, c4) = bothMask(IsNotNull(ColRef("sn", DType.Str)))
+    assert(i4 == Seq(true, false, false, true))
+    assert(c4 == i4)
   }
 
   test("case-when with string condition falls back to vector kernels when fused") {
@@ -88,6 +97,17 @@ class ExprEvalSpec extends AnyFunSuite {
     val (i, c) = both(e)
     assert(i.validity.get.toSeq == Seq(false, false, true, true))
     assert(c.validity.get.toSeq == i.validity.get.toSeq)
+  }
+
+  test("CASE over strings or booleans raises the same error in both backends") {
+    val cond = Cmp(GtK, ColRef("a", DType.F64), Lit(2.5, DType.F64))
+    for (value <- Seq(ColRef("s", DType.Str), Cmp(LtK, ColRef("b", DType.I64), Lit(30L, DType.I64)))) {
+      val e = CaseWhen(Seq(cond -> value), None)
+      val msgs = Seq(ExprEval, ExprCompiler).map { b =>
+        intercept[IllegalArgumentException](b.evalToColumn(e, table, ExecEnv.empty)).getMessage
+      }
+      assert(msgs.distinct == Seq(s"requirement failed: CASE over ${value.dtype} unsupported"))
+    }
   }
 
   test("IN over i64 and strings") {
@@ -175,11 +195,12 @@ class ExprEvalSpec extends AnyFunSuite {
       Column("y", DType.F64, F64Tensor(doubles()), None)))
   }
 
-  /** One operand of the row loop, by row: its value as a double and as a long, and its validity. */
+  /** One operand of the row loop, by row: its value as a double and as a long (0/1 for Bool), and its validity. */
   private final class RefOperand(val d: Array[Double], val l: Array[Long], val valid: Array[Boolean])
 
   private val refOperands = scala.collection.mutable.Map.empty[Expr, RefOperand]
 
+  /** A leaf of `wide`, a literal, or a subexpression evaluated by the row loop. */
   private def refOperand(e: Expr): RefOperand = refOperands.getOrElseUpdate(e, {
     val n = wide.numRows
     val allValid = BoolTensor.fill(n, true).data
@@ -189,49 +210,95 @@ class ExprEvalSpec extends AnyFunSuite {
         val v = c.validity.getOrElse(allValid)
         if (dt == DType.F64) new RefOperand(c.f64.data, new Array[Long](n), v)
         else new RefOperand(Array.tabulate(n)(c.i64.data(_).toDouble), c.i64.data, v)
-      case Lit(v: java.lang.Double, _) => new RefOperand(F64Tensor.fill(n, v).data, new Array[Long](n), allValid)
-      case Lit(v: java.lang.Long, _)   => new RefOperand(F64Tensor.fill(n, v.toDouble).data, I64Tensor.fill(n, v).data, allValid)
-      case other => throw new IllegalArgumentException(other.toString)
+      case Lit(v: java.lang.Double, _)  => new RefOperand(F64Tensor.fill(n, v).data, new Array[Long](n), allValid)
+      case Lit(v: java.lang.Long, _)    => new RefOperand(F64Tensor.fill(n, v.toDouble).data, I64Tensor.fill(n, v).data, allValid)
+      case Lit(v: java.lang.Boolean, _) =>
+        val b = if (v) 1L else 0L
+        new RefOperand(F64Tensor.fill(n, b.toDouble).data, I64Tensor.fill(n, b).data, allValid)
+      case NullLit(_) => new RefOperand(new Array[Double](n), new Array[Long](n), new Array[Boolean](n))
+      case _ =>
+        val (bits, valid) = refColumn(e)
+        if (e.dtype == DType.F64) {
+          val d = bits.map(java.lang.Double.longBitsToDouble)
+          new RefOperand(d, d.map(_.toLong), valid)
+        } else new RefOperand(bits.map(_.toDouble), bits, valid)
     }
   })
 
   /** SQL semantics in a plain row loop: NULL in, NULL out; x / 0 is NULL; an
-    * I64 side is widened when the other side is F64. Returns per row the raw
-    * bits (F64), the long (I64) or 0/1 (Bool), 0 on NULL rows, and the validity.
+    * I64 side is widened when the other side is F64; AND/OR are Kleene's;
+    * IS [NOT] NULL is never NULL; CASE takes the first branch whose condition
+    * is TRUE. Returns per row the raw bits (F64), the long (I64) or 0/1
+    * (Bool), 0 on NULL rows, and the validity.
     */
   private def refColumn(e: Expr): (Array[Long], Array[Boolean]) = {
     val n = wide.numRows
-    val a = refOperand(e.children.head); val b = refOperand(e.children.last)
     def bits(d: Double) = java.lang.Double.doubleToRawLongBits(d)
     def bool(v: Boolean) = if (v) 1L else 0L
-    val value: Int => Long = e match {
-      case Neg(x) => if (x.dtype == DType.F64) r => bits(-a.d(r)) else r => -a.l(r)
-      case ar @ Arith(kind, _, _) if ar.dtype == DType.F64 => kind match {
-        case AddK => r => bits(a.d(r) + b.d(r)); case SubK => r => bits(a.d(r) - b.d(r))
-        case MulK => r => bits(a.d(r) * b.d(r)); case DivK => r => bits(a.d(r) / b.d(r))
-      }
-      case Arith(kind, _, _) => kind match {
-        case AddK => r => a.l(r) + b.l(r); case SubK => r => a.l(r) - b.l(r)
-        case MulK => r => a.l(r) * b.l(r); case DivK => fail("I64 division")
-      }
-      case c @ Cmp(kind, _, _) if c.operandType == DType.F64 => kind match {
-        case EqK => r => bool(a.d(r) == b.d(r)); case NeK => r => bool(a.d(r) != b.d(r))
-        case LtK => r => bool(a.d(r) < b.d(r));  case LeK => r => bool(a.d(r) <= b.d(r))
-        case GtK => r => bool(a.d(r) > b.d(r));  case GeK => r => bool(a.d(r) >= b.d(r))
-      }
-      case Cmp(kind, _, _) => kind match {
-        case EqK => r => bool(a.l(r) == b.l(r)); case NeK => r => bool(a.l(r) != b.l(r))
-        case LtK => r => bool(a.l(r) < b.l(r));  case LeK => r => bool(a.l(r) <= b.l(r))
-        case GtK => r => bool(a.l(r) > b.l(r));  case GeK => r => bool(a.l(r) >= b.l(r))
-      }
-      case other => fail(other.toString)
+    def truth(o: RefOperand, r: Int): Option[Boolean] = if (o.valid(r)) Some(o.l(r) == 1L) else None
+    val row: Int => Option[Long] = e match {
+      case And(x, y) =>
+        val (a, b) = (refOperand(x), refOperand(y))
+        r => (truth(a, r), truth(b, r)) match {
+          case (Some(false), _) | (_, Some(false)) => Some(0L)
+          case (Some(true), Some(true))            => Some(1L)
+          case _                                   => None
+        }
+      case Or(x, y) =>
+        val (a, b) = (refOperand(x), refOperand(y))
+        r => (truth(a, r), truth(b, r)) match {
+          case (Some(true), _) | (_, Some(true)) => Some(1L)
+          case (Some(false), Some(false))        => Some(0L)
+          case _                                 => None
+        }
+      case IsNull(x)    => val a = refOperand(x); r => Some(bool(!a.valid(r)))
+      case IsNotNull(x) => val a = refOperand(x); r => Some(bool(a.valid(r)))
+      case cw @ CaseWhen(branches, elseValue) =>
+        val conds = branches.map(b => refOperand(b._1))
+        val vals  = branches.map(b => refOperand(b._2)) :+ refOperand(elseValue.getOrElse(NullLit(cw.dtype)))
+        r => {
+          val k = conds.indexWhere(c => truth(c, r).contains(true))
+          val v = vals(if (k < 0) conds.length else k)
+          if (!v.valid(r)) None else Some(if (cw.dtype == DType.F64) bits(v.d(r)) else v.l(r))
+        }
+      case _ =>
+        val a = refOperand(e.children.head); val b = refOperand(e.children.last)
+        val value: Int => Long = e match {
+          case Neg(x) => if (x.dtype == DType.F64) r => bits(-a.d(r)) else r => -a.l(r)
+          case Not(_) => r => 1L - a.l(r)
+          case InValues(x, vs) if x.dtype == DType.F64 =>
+            val set = vs.map { case d: java.lang.Double => d.doubleValue; case l: java.lang.Long => l.toDouble }
+            r => bool(set.exists(_ == a.d(r)))
+          case InValues(_, vs) => r => bool(vs.contains(a.l(r)))
+          case ar @ Arith(kind, _, _) if ar.dtype == DType.F64 => kind match {
+            case AddK => r => bits(a.d(r) + b.d(r)); case SubK => r => bits(a.d(r) - b.d(r))
+            case MulK => r => bits(a.d(r) * b.d(r)); case DivK => r => bits(a.d(r) / b.d(r))
+          }
+          case Arith(kind, _, _) => kind match {
+            case AddK => r => a.l(r) + b.l(r); case SubK => r => a.l(r) - b.l(r)
+            case MulK => r => a.l(r) * b.l(r); case DivK => fail("I64 division")
+          }
+          case c @ Cmp(kind, _, _) if c.operandType == DType.F64 => kind match {
+            case EqK => r => bool(a.d(r) == b.d(r)); case NeK => r => bool(a.d(r) != b.d(r))
+            case LtK => r => bool(a.d(r) < b.d(r));  case LeK => r => bool(a.d(r) <= b.d(r))
+            case GtK => r => bool(a.d(r) > b.d(r));  case GeK => r => bool(a.d(r) >= b.d(r))
+          }
+          case Cmp(kind, _, _) => kind match {
+            case EqK => r => bool(a.l(r) == b.l(r)); case NeK => r => bool(a.l(r) != b.l(r))
+            case LtK => r => bool(a.l(r) < b.l(r));  case LeK => r => bool(a.l(r) <= b.l(r))
+            case GtK => r => bool(a.l(r) > b.l(r));  case GeK => r => bool(a.l(r) >= b.l(r))
+          }
+          case other => fail(other.toString)
+        }
+        val isDiv = e match { case Arith(DivK, _, _) => true; case _ => false }
+        r => if (a.valid(r) && b.valid(r) && !(isDiv && b.d(r) == 0.0)) Some(value(r)) else None
     }
-    val isDiv = e match { case Arith(DivK, _, _) => true; case _ => false }
     val (out, valid) = (new Array[Long](n), new Array[Boolean](n))
     var r = 0
     while (r < n) {
-      valid(r) = a.valid(r) && b.valid(r) && !(isDiv && b.d(r) == 0.0)
-      out(r) = if (valid(r)) value(r) else 0L
+      val v = row(r)
+      valid(r) = v.isDefined
+      out(r) = v.getOrElse(0L)
       r += 1
     }
     (out, valid)
@@ -293,6 +360,38 @@ class ExprEvalSpec extends AnyFunSuite {
       }
       Seq(ColRef("i", DType.I64), ColRef("x", DType.F64), Lit(-0.0, DType.F64), Lit(5L, DType.I64))
         .foreach(x => assertMatchesRowLoop(Neg(x), devices))
+    } finally dev.close()
+  }
+
+  test("both backends equal a row loop on Kleene AND/OR, NOT, null tests, IN and numeric CASE") {
+    val dev = new CpuDevice(3)
+    try {
+      val devices = Seq(CpuDevice.single, dev)
+      val i = ColRef("i", DType.I64); val j = ColRef("j", DType.I64)
+      val x = ColRef("x", DType.F64); val y = ColRef("y", DType.F64)
+      // Nullable (over i, x), null-free (over y), and scalar TRUE/FALSE/NULL operands.
+      val p = Cmp(GtK, i, Lit(0L, DType.I64))
+      val q = Cmp(LtK, x, Lit(24.5, DType.F64))
+      val r = Cmp(GeK, y, Lit(0.0, DType.F64))
+      val bools = Seq(p, q, r, Lit(true, DType.Bool), Lit(false, DType.Bool), NullLit(DType.Bool))
+      for (a <- bools; b <- bools) {
+        assertMatchesRowLoop(And(a, b), devices)
+        assertMatchesRowLoop(Or(a, b), devices)
+      }
+      assertMatchesRowLoop(And(Or(p, Not(q)), Or(r, NullLit(DType.Bool))), devices)
+      Seq(p, q, r, NullLit(DType.Bool)).foreach(b => assertMatchesRowLoop(Not(b), devices))
+      for (e <- Seq(i, x, y, q, Arith(DivK, y, i), NullLit(DType.F64))) {
+        assertMatchesRowLoop(IsNull(e), devices)
+        assertMatchesRowLoop(IsNotNull(e), devices)
+      }
+      assertMatchesRowLoop(InValues(i, Seq(0L, 24L, -7L)), devices)
+      assertMatchesRowLoop(InValues(j, Seq(24L)), devices)
+      assertMatchesRowLoop(InValues(x, Seq(0.0, 24.0, 1.5)), devices)
+      assertMatchesRowLoop(InValues(y, Seq(-0.0, 24L)), devices)
+      // Numeric CASE with a NULL (absent) ELSE, an I64 branch widened into an F64 result, and an I64 result.
+      assertMatchesRowLoop(CaseWhen(Seq(p -> x, q -> j), None), devices)
+      assertMatchesRowLoop(CaseWhen(Seq(Or(p, q) -> y), Some(NullLit(DType.F64))), devices)
+      assertMatchesRowLoop(CaseWhen(Seq(r -> i, And(p, q) -> Lit(5L, DType.I64)), Some(j)), devices)
     } finally dev.close()
   }
 

@@ -140,10 +140,21 @@ class TensorOpsSpec extends AnyFunSuite {
   }
 
   test("scatterMin / scatterMax") {
+    import TensorOps.{Max, Min, Sum}
     val v = F64Tensor(Array(5.0, -2.0, 3.0, 9.0))
+    val l = I64Tensor(Array(5L, -2L, 3L, 9L))
     val s = I64Tensor(Array(0L, 0L, 1L, 1L))
-    assert(TensorOps.scatterMin(v, s, 2).data.toSeq == Seq(-2.0, 3.0))
-    assert(TensorOps.scatterMax(v, s, 2).data.toSeq == Seq(5.0, 9.0))
+    val p = new Profile
+    ExecCtx.withProfile(p) {
+      assert(TensorOps.scatterReduce(Min, v, s, 3).data.toSeq == Seq(-2.0, 3.0, Double.PositiveInfinity))
+      assert(TensorOps.scatterReduce(Max, v, s, 3).data.toSeq == Seq(5.0, 9.0, Double.NegativeInfinity))
+      assert(TensorOps.scatterReduce(Min, l, s, 3).data.toSeq == Seq(-2L, 3L, Long.MaxValue))
+      assert(TensorOps.scatterReduce(Max, l, s, 3).data.toSeq == Seq(5L, 9L, Long.MinValue))
+      assert(TensorOps.scatterReduce(Sum, l, s, 3).data.toSeq == Seq(3L, 12L, 0L))
+    }
+    // Each op keeps its kernel name and 24 bytes per input row in the profile.
+    assert(p.records == Seq("scatterMin", "scatterMax", "scatterMin", "scatterMax", "scatterAdd")
+      .map(OpRecord(_, OpClass.Scatter, 4L, 96L)))
   }
 
   test("scatterOverwrite: last write wins") {
