@@ -38,8 +38,9 @@ final class TqpSession(val spark: SparkSession) {
         s"table $name has the same column names as registered table $t; scans could not tell them apart")
     }
     val rows = df.collect()
-    // Registered data is null-free; declaring columns non-nullable lets the
-    // frontend optimizer plan NOT IN as a plain (not null-aware) anti join.
+    // Registered data is null-free, so its columns are declared non-nullable.
+    // Spark still plans NOT IN over them as an anti join on
+    // `a = b OR isnull(a = b)`; the frontend makes that a null-aware keyed one.
     val schema = org.apache.spark.sql.types.StructType(
       df.schema.fields.map(_.copy(nullable = false)))
     tables(name)  = TensorTable.fromRows(schema, rows)

@@ -4,6 +4,7 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.expressions.{Expression => CExpr, _}
 import org.apache.spark.sql.catalyst.expressions.aggregate._
 import org.apache.spark.sql.catalyst.optimizer.NormalizeNaNAndZero
+import org.apache.spark.sql.catalyst.planning.ExtractSingleColumnNullAwareAntiJoin
 import org.apache.spark.sql.catalyst.plans.{logical => L}
 import org.apache.spark.sql.catalyst.plans.{Cross => CrossJT, ExistenceJoin, FullOuter, Inner => InnerJT, LeftAnti => LeftAntiJT, LeftOuter => LeftOuterJT, LeftSemi => LeftSemiJT, RightOuter}
 import org.apache.spark.sql.types._
@@ -123,7 +124,17 @@ object CatalystFrontend {
 
     // ---------------- joins ----------------
 
-    private def translateJoin(j: L.Join): IROp = {
+    private def translateJoin(j: L.Join): IROp = j match {
+      // Spark rewrites `x NOT IN (subquery)` to an anti join on
+      // `x = y OR isnull(x = y)`; with one column that is a keyed anti join
+      // with NULL-aware semantics, not a cross product.
+      case ExtractSingleColumnNullAwareAntiJoin(lk, rk) =>
+        IROp.Join(translate(j.left), translate(j.right), JoinKind.LeftAnti,
+          lk.map(tx).toVector, rk.map(tx).toVector, None, nullAware = true)
+      case _ => translatePlainJoin(j)
+    }
+
+    private def translatePlainJoin(j: L.Join): IROp = {
       val leftOut  = j.left.outputSet
       val rightOut = j.right.outputSet
 
@@ -147,7 +158,8 @@ object CatalystFrontend {
       val residualExpr = residual.reduceOption(And.apply).map(tx)
 
       def mk(kind: JoinKind, left: IROp, right: IROp): IROp =
-        IROp.Join(left, right, kind, keys.map(_._1).toVector, keys.map(_._2).toVector, residualExpr)
+        IROp.Join(left, right, kind, keys.map(_._1).toVector, keys.map(_._2).toVector, residualExpr,
+          nullAware = false)
 
       val l = translate(j.left)
       val r = translate(j.right)
@@ -163,7 +175,7 @@ object CatalystFrontend {
           // output order (left columns first) with a Project.
           val flippedKeys = keys.map(_.swap)
           val join = IROp.Join(r, l, JoinKind.LeftOuter,
-            flippedKeys.map(_._1).toVector, flippedKeys.map(_._2).toVector, residualExpr)
+            flippedKeys.map(_._1).toVector, flippedKeys.map(_._2).toVector, residualExpr, nullAware = false)
           val wanted = (j.left.output ++ j.right.output).map(irVar)
           IROp.Project(join, wanted.map(v => (Expr.ColRef(v.id, v.dtype): Expr, v)).toVector)
         case FullOuter =>

@@ -20,7 +20,7 @@ object Rules {
     val node = op match {
       case IROp.Filter(c, e)        => IROp.Filter(canonicalize(c), e)
       case IROp.Project(c, es)      => IROp.Project(canonicalize(c), es)
-      case IROp.Join(l, r, k, lk, rk, res) => IROp.Join(canonicalize(l), canonicalize(r), k, lk, rk, res)
+      case j: IROp.Join             => j.copy(left = canonicalize(j.left), right = canonicalize(j.right))
       case IROp.Aggregate(c, g, a, re) => IROp.Aggregate(canonicalize(c), g, a, re)
       case IROp.Sort(c, ks)         => IROp.Sort(canonicalize(c), ks)
       case IROp.Limit(c, n)         => IROp.Limit(canonicalize(c), n)
@@ -62,11 +62,11 @@ object Rules {
       val keptNE = if (kept.nonEmpty) kept else es.take(1)
       IROp.Project(prune(c, keptNE.flatMap(e => Expr.refs(e._1)).toSet), keptNE)
 
-    case IROp.Join(l, r, k, lk, rk, res) =>
-      val keyRefs = (lk ++ rk).flatMap(Expr.refs).toSet
-      val resRefs = res.map(Expr.refs).getOrElse(Set.empty)
+    case j: IROp.Join =>
+      val keyRefs = (j.leftKeys ++ j.rightKeys).flatMap(Expr.refs).toSet
+      val resRefs = j.residual.map(Expr.refs).getOrElse(Set.empty)
       val want    = needed ++ keyRefs ++ resRefs
-      IROp.Join(prune(l, want), prune(r, want), k, lk, rk, res)
+      j.copy(left = prune(j.left, want), right = prune(j.right, want))
 
     case IROp.Aggregate(c, g, a, re) =>
       val keptRes = {

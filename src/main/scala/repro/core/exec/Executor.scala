@@ -53,9 +53,9 @@ object Planner {
         ExecNode("project", kids, (in, env) =>
           TensorTable(projections.map { case (e, v) => exprs.evalToColumn(e, in.head, env, v.id) }.toVector))
 
-      case j @ IROp.Join(_, _, kind, lk, rk, res) =>
+      case j: IROp.Join =>
         ExecNode("join", kids, (in, env) =>
-          JoinOp.execute(in.head, in(1), kind, lk, rk, res,
+          JoinOp.execute(in.head, in(1), j.kind, j.leftKeys, j.rightKeys, j.residual, j.nullAware,
             cfg.joinAlgo, exprs, env, j.outVars.map(_.id)))
 
       case IROp.Aggregate(_, g, a, re) =>

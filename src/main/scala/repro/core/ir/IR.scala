@@ -62,11 +62,12 @@ object IROp {
 
   /** Equi-join with optional non-equi residual condition over pair columns.
     * Output vars: left vars ++ right vars (Inner/Outer/Cross); left vars
-    * (Semi/Anti); left vars :+ exists (Existence).
+    * (Semi/Anti); left vars :+ exists (Existence). `nullAware` marks a
+    * one-key anti join with `NOT IN` semantics (see [[repro.core.ops.JoinOp]]).
     */
   final case class Join(left: IROp, right: IROp, kind: JoinKind,
                         leftKeys: Vector[Expr], rightKeys: Vector[Expr],
-                        residual: Option[Expr]) extends IROp {
+                        residual: Option[Expr], nullAware: Boolean) extends IROp {
     def children: Seq[IROp] = Seq(left, right)
     val outVars: Seq[IRVar] = kind match {
       case JoinKind.LeftSemi | JoinKind.LeftAnti => left.outVars
@@ -109,7 +110,8 @@ object IROp {
       case Scan(t, vs)        => s"Scan($t) -> [${vs.mkString(", ")}]"
       case Filter(_, c)       => s"Filter($c)"
       case Project(_, es)     => s"Project(${es.map { case (e, v) => s"$v=$e" }.mkString(", ")})"
-      case Join(_, _, k, lk, rk, res) => s"Join($k, keys=${lk.zip(rk).mkString(",")}, residual=$res)"
+      case Join(_, _, k, lk, rk, res, na) =>
+        s"Join($k${if (na) " null-aware" else ""}, keys=${lk.zip(rk).mkString(",")}, residual=$res)"
       case Aggregate(_, g, a, _) => s"Aggregate(keys=${g.map(_._2).mkString(",")}, aggs=$a)"
       case Sort(_, ks)        => s"Sort(${ks.mkString(",")})"
       case Limit(_, n)        => s"Limit($n)"

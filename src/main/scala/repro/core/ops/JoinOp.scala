@@ -21,22 +21,63 @@ object JoinAlgo {
 
 /** Join operator: key encoding, algorithm dispatch (Algorithm 1 or 2),
   * residual (non-equi) condition evaluation over candidate pairs, and the
-  * left-outer / left-semi / left-anti / existence variants (§5.2) — all on
-  * the index-pair ("late materialization") representation.
+  * left-outer / left-semi / left-anti / existence variants (§5.2).
+  *
+  * Inner, left-outer and keyless joins work on the index-pair ("late
+  * materialization") representation. Keyed semi, anti and existence joins
+  * only need one "matched" flag per left row, which they read from the right
+  * side's key histogram; with a residual they enumerate the candidate pairs
+  * in left-row order from that histogram and test the residual on them.
   */
 object JoinOp {
 
+  /** @param nullAware `NOT IN` semantics for a one-key anti join without a
+    *                  residual: a left row is also dropped when its key is
+    *                  NULL or the right side holds a NULL key, unless the
+    *                  right side is empty
+    */
   def execute(left: TensorTable, right: TensorTable, kind: JoinKind,
               leftKeys: Seq[Expr], rightKeys: Seq[Expr], residual: Option[Expr],
-              algo: JoinAlgo, exprs: ExprBackend, env: ExecEnv,
+              nullAware: Boolean, algo: JoinAlgo, exprs: ExprBackend, env: ExecEnv,
               outNames: Seq[String]): TensorTable = {
+    require(!nullAware || (kind == JoinKind.LeftAnti && leftKeys.length == 1 && residual.isEmpty),
+      s"a null-aware join is an anti join on one key with no residual: $kind, ${leftKeys.length} keys, $residual")
 
-    val (lIdx0, rIdx0) =
+    def matched: BoolTensor = matchedFlags(left, right, leftKeys, rightKeys, residual, nullAware, exprs, env)
+    def pairs: (I64Tensor, I64Tensor) = joinPairs(left, right, leftKeys, rightKeys, residual, algo, exprs, env)
+
+    kind match {
+      case JoinKind.Inner | JoinKind.Cross =>
+        val (lIdx, rIdx) = pairs
+        materializePairs(left, right, lIdx, rIdx, outNames)
+
+      case JoinKind.LeftOuter =>
+        val (lIdx, rIdx) = pairs
+        val extraL = TensorOps.nonzero(TensorOps.logicalNot(markMatched(left.numRows, lIdx)))
+        val allL   = TensorOps.cat(lIdx, extraL)
+        val allR   = TensorOps.cat(rIdx, I64Tensor.fill(extraL.length, -1L))
+        materializePairs(left, right, allL, allR, outNames)
+
+      case JoinKind.LeftSemi =>
+        renameTo(left.gather(TensorOps.nonzero(matched)), outNames)
+
+      case JoinKind.LeftAnti =>
+        renameTo(left.gather(TensorOps.nonzero(TensorOps.logicalNot(matched))), outNames)
+
+      case JoinKind.Existence(v) =>
+        renameTo(TensorTable(left.columns :+ Column(v.id, DType.Bool, matched, None)), outNames)
+    }
+  }
+
+  /** The (left, right) row pairs that satisfy the keys and the residual. */
+  private def joinPairs(left: TensorTable, right: TensorTable,
+                        leftKeys: Seq[Expr], rightKeys: Seq[Expr], residual: Option[Expr],
+                        algo: JoinAlgo, exprs: ExprBackend, env: ExecEnv): (I64Tensor, I64Tensor) = {
+    val (lIdx, rIdx) =
       if (leftKeys.isEmpty) cross(left.numRows, right.numRows)
       else {
-        val lCols = leftKeys.map(e => exprs.evalToColumn(e, left, env))
-        val rCols = rightKeys.map(e => exprs.evalToColumn(e, right, env))
-        val (lc, rc, k) = encodeWithNulls(lCols, rCols)
+        val (lc, rc, k) = encodeWithNulls(leftKeys.map(e => exprs.evalToColumn(e, left, env)),
+                                          rightKeys.map(e => exprs.evalToColumn(e, right, env)))
         algo match {
           case JoinAlgo.Sort => SortJoin.join(lc, rc, k)
           case JoinAlgo.Hash => HashJoin.join(lc, rc)
@@ -45,45 +86,65 @@ object JoinOp {
             else HashJoin.join(lc, rc)
         }
       }
-
-    // Residual (non-equi) condition: evaluate over the candidate pair table
-    // and keep the surviving pairs.
-    val (lIdx, rIdx) = residual match {
-      case None => (lIdx0, rIdx0)
+    residual match {
+      case None => (lIdx, rIdx)
       case Some(cond) =>
-        val refs = Expr.refs(cond)
-        val pairCols =
-          left.columns.filter(c => refs(c.name)).map(_.gather(lIdx0)) ++
-          right.columns.filter(c => refs(c.name)).map(_.gather(rIdx0))
-        val pairTable = TensorTable(pairCols.toVector)
-        val mask = exprs.evalMask(cond, pairTable, env)
-        (TensorOps.maskedSelect(lIdx0, mask), TensorOps.maskedSelect(rIdx0, mask))
+        val mask = residualMask(left, right, lIdx, rIdx, cond, exprs, env)
+        (TensorOps.maskedSelect(lIdx, mask), TensorOps.maskedSelect(rIdx, mask))
     }
+  }
 
-    kind match {
-      case JoinKind.Inner | JoinKind.Cross =>
-        materializePairs(left, right, lIdx, rIdx, outNames)
+  /** Whether each left row has a right row that satisfies the keys and the
+    * residual, in left-row order.
+    */
+  private def matchedFlags(left: TensorTable, right: TensorTable,
+                           leftKeys: Seq[Expr], rightKeys: Seq[Expr], residual: Option[Expr],
+                           nullAware: Boolean, exprs: ExprBackend, env: ExecEnv): BoolTensor = {
+    val nL = left.numRows
+    def matchedBy(lIdx: I64Tensor, rIdx: I64Tensor, cond: Expr): BoolTensor =
+      markMatched(nL, TensorOps.maskedSelect(lIdx, residualMask(left, right, lIdx, rIdx, cond, exprs, env)))
 
-      case JoinKind.LeftOuter =>
-        val matched = markMatched(left.numRows, lIdx)
-        val extraL  = TensorOps.nonzero(TensorOps.logicalNot(matched))
-        val allL    = TensorOps.cat(lIdx, extraL)
-        val allR    = TensorOps.cat(rIdx, I64Tensor.fill(extraL.length, -1L))
-        materializePairs(left, right, allL, allR, outNames)
-
-      case JoinKind.LeftSemi =>
-        val matched = markMatched(left.numRows, lIdx)
-        renameTo(left.gather(TensorOps.nonzero(matched)), outNames)
-
-      case JoinKind.LeftAnti =>
-        val matched = markMatched(left.numRows, lIdx)
-        renameTo(left.gather(TensorOps.nonzero(TensorOps.logicalNot(matched))), outNames)
-
-      case JoinKind.Existence(v) =>
-        val matched = markMatched(left.numRows, lIdx)
-        val cols = left.columns :+ Column(v.id, DType.Bool, matched, None)
-        renameTo(TensorTable(cols), outNames)
+    if (leftKeys.isEmpty) {
+      val (lIdx, rIdx) = cross(nL, right.numRows)
+      return residual.fold(markMatched(nL, lIdx))(matchedBy(lIdx, rIdx, _))
     }
+    val lCols = leftKeys.map(e => exprs.evalToColumn(e, left, env))
+    val rCols = rightKeys.map(e => exprs.evalToColumn(e, right, env))
+    val (lc, rc, k) = encodeWithNulls(lCols, rCols)
+    // Null keys carry sentinel codes no row of the other side shares.
+    val rightHist = TensorOps.bincount(rc, k)
+    val counts    = TensorOps.indexSelect(rightHist, lc)
+    residual match {
+      case Some(cond) =>
+        // Candidate pairs in left-row order: left row i owns pairs
+        // [pairStart(i), pairStart(i) + counts(i)), which map onto its key's
+        // run [rStart(lc(i)), …) of the right rows sorted by key.
+        val lIdx      = TensorOps.repeatInterleave(counts)
+        val rightPerm = TensorOps.argsort(rc)
+        val rStart    = TensorOps.sub(TensorOps.cumsum(rightHist), rightHist)
+        val pairStart = TensorOps.sub(TensorOps.cumsum(counts), counts)
+        val delta     = TensorOps.sub(TensorOps.indexSelect(rStart, lc), pairStart)
+        val rPos      = TensorOps.add(TensorOps.arange(lIdx.length), TensorOps.indexSelect(delta, lIdx))
+        matchedBy(lIdx, TensorOps.indexSelect(rightPerm, rPos), cond)
+      case None =>
+        val hit = TensorOps.cmp(TensorOps.Gt, counts, I64Tensor(Array(0L)))
+        def nulls(c: Column): Option[BoolTensor] = c.validity.map(v => TensorOps.logicalNot(BoolTensor(v)))
+        // NOT IN against a non-empty right side also drops NULL comparisons.
+        if (!nullAware) hit
+        else if (right.numRows == 0) BoolTensor.fill(nL, false)
+        else if (nulls(rCols.head).exists(TensorOps.any)) BoolTensor.fill(nL, true)
+        else nulls(lCols.head).fold(hit)(TensorOps.logicalOr(hit, _))
+    }
+  }
+
+  /** The residual's value on each candidate pair (NULL counts as false). */
+  private def residualMask(left: TensorTable, right: TensorTable, lIdx: I64Tensor, rIdx: I64Tensor,
+                           cond: Expr, exprs: ExprBackend, env: ExecEnv): BoolTensor = {
+    val refs = Expr.refs(cond)
+    val pairCols =
+      left.columns.filter(c => refs(c.name)).map(_.gather(lIdx)) ++
+      right.columns.filter(c => refs(c.name)).map(_.gather(rIdx))
+    exprs.evalMask(cond, TensorTable(pairCols.toVector), env)
   }
 
   /** Null join keys never match: remap rows with a null key component to
@@ -108,7 +169,7 @@ object JoinOp {
     if (codes.length == 0 || k == 0) 0L
     else TensorOps.max(TensorOps.bincount(codes, k))
 
-  /** Scatter "this left row matched" flags (semi/anti/outer bookkeeping). */
+  /** Scatter "this left row matched" flags. */
   private def markMatched(nLeft: Int, lIdx: I64Tensor): BoolTensor = {
     val flags = new Array[Boolean](nLeft)
     var i = 0

@@ -81,6 +81,25 @@ class TqpSmokeSpec extends SparkSpec {
   check("left anti (not exists)",
     "select k, v from t where not exists (select * from u where u.k = t.k) order by k, v")
 
+  check("left semi with a cross-side residual",
+    "select k, v from t where exists (select * from u where u.k = t.k and u.w > t.v * 3) order by k, v")
+
+  check("left anti with a cross-side residual",
+    "select k, v from t where not exists (select * from u where u.k = t.k and u.w > t.v * 2) order by k, v")
+
+  check("existence join (exists ... or ...)",
+    "select k, v from t where exists (select * from u where u.k = t.k and u.w > t.v * 3) or v > 140 order by k, v")
+
+  // NOT IN is a null-aware anti join; a numeric CASE without ELSE makes NULLs.
+  check("not in with a NULL in the subquery",
+    "select k, v from t where k not in (select case when w > 100 then k end from u) order by k, v")
+
+  check("not in with NULLs on the left",
+    "select k, v from t where (case when k > 3 then k end) not in (select k from u where w > 100) order by k, v")
+
+  check("not in over an empty subquery",
+    "select k, v from t where (case when k > 3 then k end) not in (select k from u where w < 0) order by k, v")
+
   check("scalar subquery",
     "select k, v from t where v > (select avg(v) from t) order by k, v")
 
@@ -128,6 +147,15 @@ class TqpSmokeSpec extends SparkSpec {
     s.register("alias_one", df(5))
     assert(s.tensorTable("alias_one").numRows == 5)
     assert(s.run("select sum(alias_a) as x from alias_one").column("x").i64.data.toSeq == Seq(15L))
+  }
+
+  test("NOT IN plans as a keyed null-aware anti join, EXISTS ... OR as an existence join") {
+    val notIn = repro.core.ir.IROp.treeString(
+      tqp.compile("select k from t where k not in (select w from u)").plan)
+    assert(notIn.contains("Join(LeftAnti null-aware, keys=") && !notIn.contains("Cross"), notIn)
+    val orExists = repro.core.ir.IROp.treeString(
+      tqp.compile("select k from t where exists (select * from u where u.k = t.k) or v > 100").plan)
+    assert(orExists.contains("Join(Existence("), orExists)
   }
 
   test("IR tree renders") {

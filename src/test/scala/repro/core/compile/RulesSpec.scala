@@ -54,7 +54,7 @@ class RulesSpec extends AnyFunSuite {
     val right = IROp.Scan("r", Vector(v("k2"), v("y"), v("unused2")))
     val join = IROp.Join(left, right, JoinKind.Inner,
       Vector(Expr.ColRef("k1", DType.I64)), Vector(Expr.ColRef("k2", DType.I64)),
-      Some(Expr.Cmp(Expr.LtK, Expr.ColRef("x", DType.I64), Expr.ColRef("y", DType.I64))))
+      Some(Expr.Cmp(Expr.LtK, Expr.ColRef("x", DType.I64), Expr.ColRef("y", DType.I64))), nullAware = false)
     val proj = IROp.Project(join, Vector((Expr.ColRef("x", DType.I64), v("x"))))
     val pruned = Rules.pruneColumns(proj).asInstanceOf[IROp.Project].child.asInstanceOf[IROp.Join]
     assert(pruned.left.asInstanceOf[IROp.Scan].outVars.map(_.id).toSet == Set("k1", "x"))

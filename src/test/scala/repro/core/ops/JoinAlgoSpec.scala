@@ -3,9 +3,9 @@ package repro.core.ops
 import org.scalatest.funsuite.AnyFunSuite
 import repro.tensor._
 
-/** Algorithm 1 (sort join) and Algorithm 2 (hash join) against a naive
-  * nested-loop reference, over uniform, skewed, collision-heavy, and empty
-  * key distributions.
+/** Algorithm 1 (sort join), Algorithm 2 (hash join) and the matched-flag
+  * path of semi, anti and existence joins against a naive nested-loop
+  * reference, over uniform, skewed, collision-heavy, null and empty keys.
   */
 class JoinAlgoSpec extends AnyFunSuite {
 
@@ -137,11 +137,84 @@ class JoinAlgoSpec extends AnyFunSuite {
     for (algo <- Seq(JoinAlgo.Sort, JoinAlgo.Hash)) withClue(s"$algo: ") {
       val out = JoinOp.execute(left, right, JoinKind.LeftOuter,
         Seq(Expr.ColRef("lk", DType.I64)), Seq(Expr.ColRef("rk", DType.I64)), None,
-        algo, ExprEval, ExecEnv.empty, Seq("lk", "lv", "rk", "rx", "rs"))
+        nullAware = false, algo, ExprEval, ExecEnv.empty, Seq("lk", "lv", "rk", "rx", "rs"))
       assert(out.numRows == 3)
       val rows = (0 until 3).map(i => (out.column("lk").i64.data(i), out.column("lv").str.rowString(i))).sorted
       assert(rows == Seq((1L, "a"), (2L, "b"), (2L, "c")))
       for (c <- Seq("rk", "rx", "rs"); i <- 0 until 3) assert(!out.column(c).isValid(i), s"$c row $i")
     }
+  }
+
+  test("semi, anti and existence joins equal a nested-loop reference") {
+    import repro.core.data.{Column, DType, TensorTable}
+    import repro.core.expr.{ExecEnv, Expr, ExprCompiler, ExprEval}
+    import repro.core.ir.{IRVar, JoinKind}
+
+    // One side: row ids, nullable keys in [0, nKeys) and nullable values.
+    final case class Side(keys: Array[Option[Long]], vals: Array[Option[Double]]) {
+      def n: Int = keys.length
+      def table(p: String): TensorTable = {
+        def valid(o: Array[_ <: Option[Any]]) = if (o.forall(_.isDefined)) None else Some(o.map(_.isDefined))
+        TensorTable(Vector(
+          Column(s"${p}id", DType.I64, I64Tensor(Array.tabulate(n)(_.toLong))),
+          Column(s"${p}k", DType.I64, I64Tensor(keys.map(_.getOrElse(0L))), valid(keys)),
+          Column(s"${p}v", DType.F64, F64Tensor(vals.map(_.getOrElse(0.0))), valid(vals))))
+      }
+    }
+    def side(rnd: scala.util.Random, n: Int, nKeys: Int, pNullKey: Double): Side = Side(
+      Array.fill(n)(if (rnd.nextDouble() < pNullKey) None else Some(rnd.nextLong(nKeys.toLong))),
+      Array.fill(n)(if (rnd.nextDouble() < 0.2) None else Some(rnd.nextInt(100).toDouble)))
+
+    // (seed, left rows, right rows, distinct keys, P(null left key), P(null right key))
+    val cases = Seq((1, 60, 40, 4, 0.15, 0.15), (2, 50, 70, 25, 0.0, 0.0), (3, 40, 40, 6, 0.2, 0.0),
+                    (4, 0, 30, 5, 0.1, 0.1), (5, 30, 0, 5, 0.1, 0.1), (6, 0, 0, 1, 0.0, 0.0))
+    // `rv > lv`: NULL on every pair where either value is NULL.
+    val residual = Expr.Cmp(Expr.GtK, Expr.ColRef("rv", DType.F64), Expr.ColRef("lv", DType.F64))
+    val existsVar = IRVar("m", "m", DType.Bool)
+    val dev3 = new CpuDevice(3)
+    try for ((seed, nL, nR, nKeys, pL, pR) <- cases) {
+      val rnd = new scala.util.Random(seed)
+      val (l, r) = (side(rnd, nL, nKeys, pL), side(rnd, nR, nKeys, pR))
+      def matchedRef(withResidual: Boolean): Seq[Boolean] = (0 until nL).map { i =>
+        (0 until nR).exists { j =>
+          l.keys(i).isDefined && l.keys(i) == r.keys(j) &&
+            (!withResidual || r.vals(j).zip(l.vals(i)).exists { case (rv, lv) => rv > lv })
+        }
+      }
+      // NOT IN: keep a row when the right side is empty, or when neither its key
+      // nor any right key is NULL and no right key equals it.
+      val notInRef = (0 until nL).map(i =>
+        nR == 0 || (!r.keys.contains(None) && l.keys(i).isDefined && !r.keys.contains(l.keys(i))))
+
+      val shapes: Seq[(JoinKind, Boolean, Boolean)] =
+        (for (kind <- Seq(JoinKind.LeftSemi, JoinKind.LeftAnti, JoinKind.Existence(existsVar));
+              res <- Seq(false, true)) yield (kind, res, false)) :+ ((JoinKind.LeftAnti, false, true))
+      for ((kind, withResidual, nullAware) <- shapes;
+           algo <- Seq(JoinAlgo.Sort, JoinAlgo.Hash, JoinAlgo.Auto);
+           exprs <- Seq(ExprEval, ExprCompiler);
+           dev <- Seq(CpuDevice.single, dev3))
+        withClue(s"case $seed, $kind, residual=$withResidual, nullAware=$nullAware, $algo, $exprs, ${dev.threads} threads: ") {
+          val outNames = kind match {
+            case JoinKind.Existence(v) => Seq("lid", "lk", "lv", v.id)
+            case _                     => Seq("lid", "lk", "lv")
+          }
+          val out = ExecCtx.withDevice(dev) {
+            JoinOp.execute(l.table("l"), r.table("r"), kind,
+              Seq(Expr.ColRef("lk", DType.I64)), Seq(Expr.ColRef("rk", DType.I64)),
+              if (withResidual) Some(residual) else None, nullAware, algo, exprs, ExecEnv.empty, outNames)
+          }
+          val matched = matchedRef(withResidual)
+          val ids = out.column("lid").i64.data.toSeq
+          kind match {
+            case JoinKind.LeftSemi => assert(ids == (0 until nL).filter(matched(_)).map(_.toLong))
+            case JoinKind.LeftAnti =>
+              val keep = if (nullAware) notInRef else matched.map(!_)
+              assert(ids == (0 until nL).filter(keep(_)).map(_.toLong))
+            case _ =>
+              assert(ids == (0 until nL).map(_.toLong))
+              assert(out.column("m").bool.data.toSeq == matched)
+          }
+        }
+    } finally dev3.close()
   }
 }

@@ -1,6 +1,7 @@
 package repro.tpch
 
 import repro.SparkSpec
+import repro.bench.Measure
 import repro.core.exec.TqpConfig
 import repro.tensor.CpuDevice
 
@@ -22,15 +23,10 @@ class TqpjPerfProbe extends SparkSpec {
       tqp.runOn(tqp.compile(queries(q)), cfg, dev)
     for (name <- Seq("Q1", "Q6", "Q14", "Q19")) {
       val ir = tqp.compile(queries(name))
-      def time(cfg: TqpConfig): Double = {
-        tqp.runOn(ir, cfg, dev); tqp.runOn(ir, cfg, dev) // warm-up
-        val runs = (0 until 3).map { _ =>
-          val t0 = System.nanoTime(); tqp.runOn(ir, cfg, dev); (System.nanoTime() - t0) / 1e6
-        }.sorted
-        runs(1)
-      }
-      val interp = time(TqpConfig.interpreted)
-      val fused  = time(TqpConfig.compiledMode)
+      // Both modes are timed in one alternating loop, so a drift in machine
+      // speed or a JIT recompilation hits both alike.
+      val (interp, fused) = Measure.alternatingMedianMs(
+        tqp.runOn(ir, TqpConfig.interpreted, dev), tqp.runOn(ir, TqpConfig.compiledMode, dev))
       info(f"$name interp=$interp%.1f ms fused=$fused%.1f ms")
       assert(fused <= interp * 1.25, s"$name: fused $fused ms vs interp $interp ms")
     }
