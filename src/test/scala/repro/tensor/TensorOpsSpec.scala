@@ -21,6 +21,14 @@ class TensorOpsSpec extends AnyFunSuite {
 
   private def trials(f: Int => Unit): Unit = Seq(0, 1, 2, 7, 100, 1023).foreach(f)
 
+  /** The one `OpRecord` that running `f` leaves in a fresh profile. */
+  private def recordOf(f: => Tensor): OpRecord = {
+    val p = new Profile
+    ExecCtx.withProfile(p)(f)
+    assert(p.records.size == 1, p.records)
+    p.records.head
+  }
+
   test("arange") {
     assert(TensorOps.arange(5).data.toSeq == Seq(0L, 1L, 2L, 3L, 4L))
     assert(TensorOps.arange(0).data.isEmpty)
@@ -102,6 +110,18 @@ class TensorOpsSpec extends AnyFunSuite {
       val a = randomLongs(n + 3, n * 2)
       val perm = TensorOps.argsortDescending(I64Tensor(a))
       assert(perm.data.map(i => a(i.toInt)).toSeq == a.sorted(Ordering[Long].reverse).toSeq)
+    }
+  }
+
+  test("argsort records one sort of 64n bytes whichever path sorts") {
+    // Counting sort (dense codes), LSD over 41 bits, LSD over all 64 bits.
+    val n = 5000
+    val r = new scala.util.Random(11)
+    for (keys <- Seq(Array.fill(n)(r.nextLong(n.toLong)), Array.fill(n)(r.nextLong(1L << 41) - (1L << 40)),
+                     Array.fill(n)(r.nextLong()) :+ Long.MinValue :+ Long.MaxValue)) {
+      val want = OpRecord("sort", OpClass.Sort, keys.length.toLong, 64L * keys.length)
+      assert(recordOf(TensorOps.argsort(I64Tensor(keys))) == want)
+      assert(recordOf(TensorOps.argsortDescending(I64Tensor(keys))) == want)
     }
   }
 
@@ -264,12 +284,6 @@ class TensorOpsSpec extends AnyFunSuite {
     val n = 1000
     val (vf, sf) = (F64Tensor(new Array[Double](n)), F64Tensor(Array(1.0)))
     val (vl, sl) = (I64Tensor(new Array[Long](n)), I64Tensor(Array(1L)))
-    def recordOf(f: => Tensor): OpRecord = {
-      val p = new Profile
-      ExecCtx.withProfile(p)(f)
-      assert(p.records.size == 1, p.records)
-      p.records.head
-    }
     for ((a, b, bytes) <- Seq((vf, vf, 24), (vf, sf, 16), (sf, vf, 16))) {
       val r = recordOf(TensorOps.arith(TensorOps.Mul, a, b))
       assert(r.cls == OpClass.ElementWise && r.elems == n && r.bytes == bytes.toLong * n, r)

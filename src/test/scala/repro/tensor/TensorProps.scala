@@ -1,6 +1,6 @@
 package repro.tensor
 
-import org.scalacheck.{Gen, Prop, Properties}
+import org.scalacheck.{Arbitrary, Gen, Prop, Properties}
 
 /** ScalaCheck properties for the tensor runtime (run by sbt's native
   * ScalaCheck framework).
@@ -9,18 +9,63 @@ object TensorProps extends Properties("tensor") {
 
   private val longs   = Gen.containerOf[Array, Long](Gen.chooseNum(-5000L, 5000L))
 
-  property("argsortLong sorts") = Prop.forAll(longs) { a =>
-    val p = RadixSort.argsortLong(a, descending = false)
-    p.map(i => a(i.toInt)).toSeq == a.sorted.toSeq
-  }
+  /** The stable reference permutation: ties keep input order. */
+  private def stableArgsort(a: Array[Long], descending: Boolean): Seq[Long] =
+    a.indices.sortBy(a(_))(if (descending) Ordering[Long].reverse else Ordering[Long]).map(_.toLong)
 
-  property("argsortLong descending sorts") = Prop.forAll(longs) { a =>
-    val p = RadixSort.argsortLong(a, descending = true)
-    p.map(i => a(i.toInt)).toSeq == a.sorted(Ordering[Long].reverse).toSeq
-  }
+  private def sortsStably(a: Array[Long], descending: Boolean): Boolean =
+    RadixSort.argsortLong(a, descending).toSeq == stableArgsort(a, descending)
+
+  private def sortsStably(a: Array[Long]): Boolean = sortsStably(a, descending = false) && sortsStably(a, descending = true)
+
+  /** Arrays drawn from a small pool of `value`s, so most keys repeat. */
+  private def duplicateHeavy(value: Gen[Long]): Gen[Array[Long]] = for {
+    pool <- Gen.nonEmptyListOf(value)
+    a    <- Gen.containerOf[Array, Long](Gen.oneOf(pool))
+  } yield a
+
+  // A range below 2^16 takes the counting sort.
+  private val smallRange = Gen.oneOf(longs, duplicateHeavy(Gen.chooseNum(-5000L, 5000L)))
+
+  property("argsortLong sorts") = Prop.forAll(smallRange)(sortsStably(_, descending = false))
+
+  property("argsortLong descending sorts") = Prop.forAll(smallRange)(sortsStably(_, descending = true))
 
   property("argsort is a permutation") = Prop.forAll(longs) { a =>
     RadixSort.argsortLong(a, descending = false).sorted.toSeq == a.indices.map(_.toLong)
+  }
+
+  // Keys over ±2^40 take the LSD sort (4 digits of 11 bits); multiples of
+  // 2^24 share their two low digits, so those passes are skipped.
+  property("argsortLong is the stable sort of keys over ±2^40") = {
+    val spread = Gen.chooseNum(-(1L << 40), 1L << 40)
+    val lowZero = Gen.chooseNum(-(1L << 16), 1L << 16).map(_ << 24)
+    Prop.forAll(Gen.oneOf(
+      Gen.containerOf[Array, Long](spread), Gen.containerOf[Array, Long](lowZero),
+      duplicateHeavy(spread), duplicateHeavy(lowZero)))(sortsStably(_))
+  }
+
+  // With both extremes present `max - min` overflows a signed long. An
+  // arithmetic shift right by `s` leaves a range of about `64 - s` bits, so
+  // every LSD width from 17 to 64 bits is drawn too.
+  property("argsortLong is the stable sort of keys up to Long.MinValue and Long.MaxValue") = {
+    val full = Gen.chooseNum(Long.MinValue, Long.MaxValue)
+    val shift = Gen.choose(0, 64 - 17)
+    val extremes = Gen.frequency(
+      1 -> Gen.const(Long.MinValue), 1 -> Gen.const(Long.MaxValue), 1 -> Gen.chooseNum(-3L, 3L), 3 -> full)
+    Prop.forAll(Gen.oneOf(
+      Gen.containerOf[Array, Long](extremes), duplicateHeavy(extremes),
+      shift.flatMap(s => Gen.containerOf[Array, Long](full.map(_ >> s))),
+      shift.flatMap(s => duplicateHeavy(full.map(_ >> s)))))(sortsStably(_))
+  }
+
+  property("argsortLong on empty, one-key and all-equal arrays is the identity") = Prop.forAll(
+    Gen.oneOf(Gen.const(Long.MinValue), Gen.const(Long.MaxValue), Arbitrary.arbitrary[Long]),
+    Gen.frequency(1 -> Gen.const(0), 1 -> Gen.const(1), 3 -> Gen.choose(2, 300))) { (k, n) =>
+    val a = Array.fill(n)(k)
+    val identity = a.indices.map(_.toLong)
+    RadixSort.argsortLong(a, descending = false).toSeq == identity &&
+      RadixSort.argsortLong(a, descending = true).toSeq == identity
   }
 
   property("cumsum last element equals sum") = Prop.forAll(longs) { a =>
