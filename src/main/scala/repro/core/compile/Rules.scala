@@ -29,6 +29,9 @@ object Rules {
     node match {
       // Merge stacked limits (Spark's GlobalLimit(LocalLimit(...)) pattern).
       case IROp.Limit(IROp.Limit(c, a), b) => IROp.Limit(c, math.min(a, b))
+      // Spark prunes COUNT(*)'s input to an empty projection; a table with
+      // no columns has no rows, so read the child instead.
+      case IROp.Project(c, es) if es.isEmpty => c
       // Drop projections that merely re-emit the child's variables.
       case p @ IROp.Project(c, es) =>
         val noop = es.length == c.outVars.length &&

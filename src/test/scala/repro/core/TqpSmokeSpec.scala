@@ -60,6 +60,9 @@ class TqpSmokeSpec extends SparkSpec {
   check("global aggregate",
     "select sum(v) as s, avg(v) as a, min(v) as mn, max(v) as mx, count(*) as c from t where k <> 5")
 
+  check("count(*) over a filter",
+    "select count(*) as c from t where k > 3")
+
   check("group-by aggregate",
     "select k, sum(v) as s, count(*) as c, avg(v) as a from t group by k order by k")
 

@@ -32,6 +32,10 @@ class TpchSpec extends SparkSpec {
     }
   }
 
+  test("every query's compiled plan is cached") {
+    TpchQueries.all(sf).foreach { case (name, q) => assert(tqp.compile(q) eq tqp.compile(q), name) }
+  }
+
   // Hash-join and hash-aggregation variants on the representative set the
   // paper uses for its deep-dive experiments (§6.3).
   private val representative = Seq("Q1", "Q2", "Q6", "Q9", "Q14", "Q18")
