@@ -5,6 +5,8 @@ import repro.core.expr.{ExecEnv, Expr, ExprBackend}
 import repro.core.ir.JoinKind
 import repro.tensor._
 
+import scala.annotation.switch
+
 /** Which equi-join tensor program the Planning Layer instantiates.
   *
   * `Auto` applies the paper's own crossover rule (§5.3): the hash join wins
@@ -23,11 +25,13 @@ object JoinAlgo {
   * residual (non-equi) condition evaluation over candidate pairs, and the
   * left-outer / left-semi / left-anti / existence variants (§5.2).
   *
-  * Inner, left-outer and keyless joins work on the index-pair ("late
-  * materialization") representation. Keyed semi, anti and existence joins
-  * only need one "matched" flag per left row, which they read from the right
-  * side's key histogram; with a residual they enumerate the candidate pairs
-  * in left-row order from that histogram and test the residual on them.
+  * Inner, left-outer and cross joins work on the index-pair ("late
+  * materialization") representation. Semi, anti and existence joins only
+  * need one "matched" flag per left row, which they read from the right
+  * side's key histogram, or for a residual from the min or max of a compared
+  * value per key. Only a residual that a key's min, max and count cannot
+  * decide makes them enumerate the candidate pairs (in left-row order, from
+  * that histogram) and test the residual on them.
   */
 object JoinOp {
 
@@ -104,37 +108,129 @@ object JoinOp {
     def matchedBy(lIdx: I64Tensor, rIdx: I64Tensor, cond: Expr): BoolTensor =
       markMatched(nL, TensorOps.maskedSelect(lIdx, residualMask(left, right, lIdx, rIdx, cond, exprs, env)))
 
-    if (leftKeys.isEmpty) {
+    val perKey = residual.fold(Option(PerKeyResidual(Nil, Nil, None)))(PerKeyResidual.of(_, left, right))
+    if (leftKeys.isEmpty && perKey.isEmpty) {
       val (lIdx, rIdx) = cross(nL, right.numRows)
-      return residual.fold(markMatched(nL, lIdx))(matchedBy(lIdx, rIdx, _))
+      return matchedBy(lIdx, rIdx, residual.get)
     }
     val lCols = leftKeys.map(e => exprs.evalToColumn(e, left, env))
     val rCols = rightKeys.map(e => exprs.evalToColumn(e, right, env))
-    val (lc, rc, k) = encodeWithNulls(lCols, rCols)
-    // Null keys carry sentinel codes no row of the other side shares.
-    val rightHist = TensorOps.bincount(rc, k)
-    val counts    = TensorOps.indexSelect(rightHist, lc)
-    residual match {
-      case Some(cond) =>
-        // Candidate pairs in left-row order: left row i owns pairs
-        // [pairStart(i), pairStart(i) + counts(i)), which map onto its key's
-        // run [rStart(lc(i)), …) of the right rows sorted by key.
-        val lIdx      = TensorOps.repeatInterleave(counts)
-        val rightPerm = TensorOps.argsort(rc)
-        val rStart    = TensorOps.sub(TensorOps.cumsum(rightHist), rightHist)
-        val pairStart = TensorOps.sub(TensorOps.cumsum(counts), counts)
-        val delta     = TensorOps.sub(TensorOps.indexSelect(rStart, lc), pairStart)
-        val rPos      = TensorOps.add(TensorOps.arange(lIdx.length), TensorOps.indexSelect(delta, lIdx))
-        matchedBy(lIdx, TensorOps.indexSelect(rightPerm, rPos), cond)
-      case None =>
-        val hit = TensorOps.cmp(TensorOps.Gt, counts, I64Tensor(Array(0L)))
+    // Null keys carry sentinel codes no row of the other side shares; without
+    // keys every row has code 0.
+    val (lc, rc, k) =
+      if (leftKeys.isEmpty) (I64Tensor.fill(nL, 0L), I64Tensor.fill(right.numRows, 0L), 1)
+      else encodeWithNulls(lCols, rCols)
+    perKey match {
+      case Some(split) =>
+        val hit = matchedPerKey(left, right, lc, rc, k, split, exprs, env)
         def nulls(c: Column): Option[BoolTensor] = c.validity.map(v => TensorOps.logicalNot(BoolTensor(v)))
         // NOT IN against a non-empty right side also drops NULL comparisons.
         if (!nullAware) hit
         else if (right.numRows == 0) BoolTensor.fill(nL, false)
         else if (nulls(rCols.head).exists(TensorOps.any)) BoolTensor.fill(nL, true)
         else nulls(lCols.head).fold(hit)(TensorOps.logicalOr(hit, _))
+      case None =>
+        // Candidate pairs in left-row order: left row i owns pairs
+        // [pairStart(i), pairStart(i) + counts(i)), which map onto its key's
+        // run [rStart(lc(i)), …) of the right rows sorted by key.
+        val rightHist = TensorOps.bincount(rc, k)
+        val counts    = TensorOps.indexSelect(rightHist, lc)
+        val lIdx      = TensorOps.repeatInterleave(counts)
+        val rightPerm = TensorOps.argsort(rc)
+        val rStart    = TensorOps.sub(TensorOps.cumsum(rightHist), rightHist)
+        val pairStart = TensorOps.sub(TensorOps.cumsum(counts), counts)
+        val delta     = TensorOps.sub(TensorOps.indexSelect(rStart, lc), pairStart)
+        val rPos      = TensorOps.add(TensorOps.arange(lIdx.length), TensorOps.indexSelect(delta, lIdx))
+        matchedBy(lIdx, TensorOps.indexSelect(rightPerm, rPos), residual.get)
     }
+  }
+
+  /** A residual that can be decided per key code, without pairs: AND
+    * conjuncts over the left side only, over the right side only, and at
+    * most one comparison `lValue op rValue` between an I64 (or Date)
+    * expression over the left side and one over the right side, with `op`
+    * one of Lt, Le, Gt, Ge and Ne.
+    */
+  private final case class PerKeyResidual(leftOnly: Seq[Expr], rightOnly: Seq[Expr],
+                                          cmp: Option[(Int, Expr, Expr)])
+
+  private object PerKeyResidual {
+    // Indexed by TensorOps comparison op code (Eq, Ne, Lt, Le, Gt, Ge).
+    private val negated = Array(TensorOps.Ne, TensorOps.Eq, TensorOps.Ge, TensorOps.Gt, TensorOps.Le, TensorOps.Lt)
+    private val swapped = Array(TensorOps.Eq, TensorOps.Ne, TensorOps.Gt, TensorOps.Ge, TensorOps.Lt, TensorOps.Le)
+
+    /** `cond` split into its conjuncts, if it has that shape. A column name
+      * both sides hold is the left's, as in the pair path's column lookup.
+      */
+    def of(cond: Expr, left: TensorTable, right: TensorTable): Option[PerKeyResidual] = {
+      val lNames = left.columnNames.toSet
+      val rNames = right.columnNames.toSet -- lNames
+      def conjuncts(e: Expr): Seq[Expr] = e match {
+        case Expr.And(a, b) => conjuncts(a) ++ conjuncts(b)
+        case other          => Seq(other)
+      }
+      def over(e: Expr, names: Set[String]): Boolean = { val r = Expr.refs(e); r.nonEmpty && r.subsetOf(names) }
+      def integral(e: Expr): Boolean = e.dtype == DType.I64 || e.dtype == DType.Date
+      def comparison(c: Expr): Option[(Int, Expr, Expr)] = {
+        val (op, a, b) = c match {
+          case Expr.Cmp(kind, a, b)            => (kind.op, a, b)
+          case Expr.Not(Expr.Cmp(kind, a, b)) => (negated(kind.op), a, b)
+          case _                               => return None
+        }
+        if (op == TensorOps.Eq || !integral(a) || !integral(b)) None
+        else if (over(a, lNames) && over(b, rNames)) Some((op, a, b))
+        else if (over(b, lNames) && over(a, rNames)) Some((swapped(op), b, a))
+        else None
+      }
+      val (leftOnly, rest)   = conjuncts(cond).partition(c => Expr.refs(c).subsetOf(lNames))
+      val (rightOnly, mixed) = rest.partition(c => Expr.refs(c).subsetOf(rNames))
+      mixed match {
+        case Seq()  => Some(PerKeyResidual(leftOnly, rightOnly, None))
+        case Seq(c) => comparison(c).map(cmp => PerKeyResidual(leftOnly, rightOnly, Some(cmp)))
+        case _      => None
+      }
+    }
+  }
+
+  /** Whether each left row matches under a [[PerKeyResidual]]. A right row
+    * counts if its right-only conjuncts hold and its compared value is
+    * valid; a left row matches if its left-only conjuncts hold, its compared
+    * value `l` is valid, and its key's counted right rows are not empty and
+    * hold some `r` with `l op r`: read from their maximum for Lt (Le), their
+    * minimum for Gt (Ge), either for Ne.
+    */
+  private def matchedPerKey(left: TensorTable, right: TensorTable, lc: I64Tensor, rc: I64Tensor, k: Int,
+                            split: PerKeyResidual, exprs: ExprBackend, env: ExecEnv): BoolTensor = {
+    // Rows whose conjuncts are TRUE and compared value is valid (None: every row).
+    def mask(conjuncts: Seq[Expr], value: Option[Column], t: TensorTable): Option[Array[Boolean]] =
+      Column.validWhereBoth(conjuncts.reduceOption(Expr.And(_, _)).map(exprs.evalMask(_, t, env).data),
+                            value.flatMap(_.validity))
+    val lVal  = split.cmp.map { case (_, e, _) => exprs.evalToColumn(e, left, env) }
+    val rVal  = split.cmp.map { case (_, _, e) => exprs.evalToColumn(e, right, env) }
+    val lMask = mask(split.leftOnly, lVal, left)
+    val rMask = mask(split.rightOnly, rVal, right)
+    def counted(t: I64Tensor): I64Tensor = rMask.fold(t)(m => TensorOps.maskedSelect(t, BoolTensor(m)))
+    val codes = counted(rc)
+    def nonEmpty = TensorOps.cmp(TensorOps.Gt, TensorOps.indexSelect(TensorOps.bincount(codes, k), lc), I64Tensor(Array(0L)))
+    val hit = split.cmp match {
+      case None => nonEmpty
+      case Some((op, _, _)) =>
+        val l    = lVal.get.i64
+        val vals = counted(rVal.get.i64)
+        // An empty key's minimum is Long.MaxValue and its maximum Long.MinValue,
+        // which no `l` is strictly above or below.
+        def reduced(red: Int) = TensorOps.indexSelect(TensorOps.scatterReduce(red, vals, codes, k), lc)
+        def someBelow = TensorOps.cmp(TensorOps.Lt, reduced(TensorOps.Min), l)
+        def someAbove = TensorOps.cmp(TensorOps.Gt, reduced(TensorOps.Max), l)
+        (op: @switch) match {
+          case TensorOps.Lt => someAbove
+          case TensorOps.Gt => someBelow
+          case TensorOps.Ne => TensorOps.logicalOr(someBelow, someAbove)
+          case TensorOps.Le => TensorOps.logicalAnd(TensorOps.cmp(TensorOps.Ge, reduced(TensorOps.Max), l), nonEmpty)
+          case TensorOps.Ge => TensorOps.logicalAnd(TensorOps.cmp(TensorOps.Le, reduced(TensorOps.Min), l), nonEmpty)
+        }
+    }
+    lMask.fold(hit)(m => TensorOps.logicalAnd(hit, BoolTensor(m)))
   }
 
   /** The residual's value on each candidate pair (NULL counts as false). */

@@ -31,7 +31,8 @@ object KeyEncoder {
       Profile.rec("sortableBits", OpClass.ElementWise, a.length, a.length * 16L)
       I64Tensor(r)
     case DType.Str =>
-      StringTensor.dictEncode(c.str)._1
+      // Both in unsigned byte order; packing needs no dictionary.
+      if (c.str.width <= 8) StringTensor.packBytes(c.str) else StringTensor.dictEncode(c.str)._1
   }
 
   /** Stable lexicographic argsort over several i64 key columns

@@ -275,7 +275,32 @@ object StringTensor {
     StringTensor(out, t.width, idx.length)
   }
 
-  /** Dictionary-encode: codes are lexicographic ranks, so sorting/grouping
+  /** Each row's padded bytes as one big-endian number, for `width <= 8`:
+    * signed order on the numbers is unsigned byte order on the rows (at
+    * width 8 the sign bit is flipped), and equal numbers are equal rows.
+    */
+  def packBytes(t: StringTensor): I64Tensor = {
+    val w = t.width
+    require(w <= 8, s"packBytes: width $w > 8")
+    val flip = if (w == 8) Long.MinValue else 0L
+    val out  = new Array[Long](t.n)
+    ExecCtx.current.device.parallelRanges(t.n) { (s, e) =>
+      var i = s
+      while (i < e) {
+        var acc = 0L
+        var k = i * w
+        val end = k + w
+        while (k < end) { acc = (acc << 8) | (t.data(k) & 0xffL); k += 1 }
+        out(i) = acc ^ flip
+        i += 1
+      }
+    }
+    Profile.rec("strPack", ElementWise, t.n, t.n.toLong * (w + 8))
+    I64Tensor(out)
+  }
+
+  /** Dictionary-encode: codes are ranks in unsigned byte order (the order
+    * of `packBytes` and the string comparison kernels), so sorting/grouping
     * on codes equals sorting/grouping on the strings. Returns
     * (codes, sorted distinct values).
     */
@@ -298,7 +323,8 @@ object StringTensor {
       tmp(i) = id.intValue
       i += 1
     }
-    val order  = dictB.indices.sortBy(dictB(_)).toArray
+    val bytes  = dictB.map(_.getBytes(java.nio.charset.StandardCharsets.UTF_8))
+    val order  = dictB.indices.sortWith((a, b) => java.util.Arrays.compareUnsigned(bytes(a), bytes(b)) < 0).toArray
     val rankOf = new Array[Long](dictB.length)
     var r = 0
     while (r < order.length) { rankOf(order(r)) = r; r += 1 }

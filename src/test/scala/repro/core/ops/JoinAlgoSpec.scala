@@ -96,6 +96,19 @@ class JoinAlgoSpec extends AnyFunSuite {
     assert(KeyEncoder.packColumns(Seq(wide, wide)).isEmpty)
   }
 
+  test("toOrderedI64 orders strings by unsigned bytes at any width") {
+    import repro.core.data.{Column, DType}
+    def byteOrder(a: String, b: String): Boolean =
+      java.util.Arrays.compareUnsigned(a.getBytes("UTF-8"), b.getBytes("UTF-8")) < 0
+    // Width 8 is packed, width 12 dictionary-encoded; both orders agree.
+    val narrow = Array("Brand#12", "éééé", "", "MAIL", "ü", "Brand#12", "zzzzzzzz")
+    for (vals <- Seq(narrow, narrow :+ "longer value")) {
+      val enc = KeyEncoder.toOrderedI64(Column("s", DType.Str, StringTensor.fromStrings(vals))).data
+      for (i <- vals.indices; j <- vals.indices)
+        assert((enc(i) < enc(j)) == byteOrder(vals(i), vals(j)), s"${vals(i)} vs ${vals(j)}")
+    }
+  }
+
   test("groupsOf yields sorted segments and representatives") {
     val keys = I64Tensor(Array(3L, 1L, 3L, 2L, 1L, 3L))
     val g = KeyEncoder.groupsOf(Seq(keys))

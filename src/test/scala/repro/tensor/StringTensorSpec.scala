@@ -82,6 +82,35 @@ class StringTensorSpec extends AnyFunSuite {
       assert((codes.data(i) < codes.data(j)) == (values(i) < values(j)))
   }
 
+  /** Unsigned byte order of the UTF-8 encodings, the order Spark and DuckDB sort strings by. */
+  private def byteOrder(a: String, b: String): Boolean =
+    java.util.Arrays.compareUnsigned(a.getBytes("UTF-8"), b.getBytes("UTF-8")) < 0
+
+  test("packBytes orders rows by unsigned bytes, non-ASCII and width 8 included") {
+    // "é" and "ü" are two bytes each with the top bit set; "éééé" fills all
+    // 8 bytes, so its first byte lands on the sign bit.
+    for (vals <- Seq(Array("R", "A", "N", "F", "", "A"), Array("é", "z", "", "ab", "zz", "ü", "é"),
+                     Array("Brand#12", "Brand#3", "éééé", "", "zzzzzzzz", "ü", "Brand#12"))) {
+      val st = StringTensor.fromStrings(vals)
+      val packed = StringTensor.packBytes(st).data
+      for (i <- vals.indices; j <- vals.indices) {
+        assert((packed(i) < packed(j)) == byteOrder(vals(i), vals(j)), s"${vals(i)} vs ${vals(j)}")
+        assert((packed(i) == packed(j)) == (vals(i) == vals(j)), s"${vals(i)} vs ${vals(j)}")
+      }
+    }
+    assertThrows[IllegalArgumentException](StringTensor.packBytes(StringTensor.fromStrings(Array("ninebytes"))))
+  }
+
+  test("dictEncode ranks non-ASCII strings in unsigned byte order") {
+    // UTF-16 order (java.lang.String) puts the emoji (a surrogate pair, 0xD83D…)
+    // before the full-width 'ｚ' (0xFF5A); their UTF-8 bytes (0xF0… > 0xEF…) do not.
+    val vals = Array("😀", "ｚ", "z", "é", "", "😀")
+    val (codes, dict) = StringTensor.dictEncode(StringTensor.fromStrings(vals))
+    assert(dict.toSeq == Seq("", "z", "é", "ｚ", "😀"))
+    for (i <- vals.indices; j <- vals.indices)
+      assert((codes.data(i) < codes.data(j)) == byteOrder(vals(i), vals(j)))
+  }
+
   test("cat merges with width promotion") {
     val a = StringTensor.fromStrings(Array("ab"))
     val b = StringTensor.fromStrings(Array("wxyz", "q"))

@@ -3,6 +3,7 @@ package repro.tpch
 import repro.{OracleTyped, SparkSpec}
 import repro.core.exec.TqpConfig
 import repro.core.ops.JoinAlgo
+import repro.tensor.{ExecCtx, Profile}
 
 /** The paper's headline capability (§5, C1): TQP compiles and executes all
   * 22 TPC-H queries. Every query is verified against DuckDB (same SQL, same
@@ -34,6 +35,33 @@ class TpchSpec extends SparkSpec {
 
   test("every query's compiled plan is cached") {
     TpchQueries.all(sf).foreach { case (name, q) => assert(tqp.compile(q) eq tqp.compile(q), name) }
+  }
+
+  /** Whether running `q` under `cfg` enumerated join pairs for a semi or anti join's residual. */
+  private def enumeratesPairs(q: String, cfg: TqpConfig): Boolean = {
+    val p = new Profile
+    ExecCtx.withProfile(p)(tqp.run(tqp.compile(q), cfg))
+    p.records.exists(_.name == "repeatInterleave")
+  }
+
+  test("Q21's EXISTS and NOT EXISTS joins decide their `<>` residual per key, with no pair table") {
+    for (cfg <- Seq(TqpConfig.interpreted, TqpConfig.compiledMode))
+      assert(!enumeratesPairs(queries("Q21"), cfg), cfg)
+  }
+
+  test("residuals with two comparisons between the sides match DuckDB through the pair table") {
+    val q = """
+      select o_orderkey, o_custkey from orders
+      where exists (select * from lineitem
+                    where l_orderkey = o_orderkey and l_suppkey * 10 < o_custkey and l_partkey > o_custkey)
+        and not exists (select * from lineitem
+                        where l_orderkey = o_orderkey and l_suppkey * 10 > o_custkey and l_partkey < o_custkey)
+      order by o_orderkey"""
+    for (cfg <- Seq(TqpConfig.interpreted, TqpConfig.compiledMode)) {
+      assert(enumeratesPairs(q, cfg), cfg)
+      assert(tqp.run(q, cfg).numRows > 0)
+      OracleTyped.assertEquivalent(tqp.runToDf(q, cfg), q, tablesFor(q): _*)
+    }
   }
 
   // Hash-join and hash-aggregation variants on the representative set the
