@@ -220,7 +220,7 @@ object CatalystFrontend {
             Expr.ColRef(v.id, v.dtype)
           case ae: AggregateExpression =>
             val s = slotOf(ae)
-            Expr.AggRef(s, slots(s).resultType)
+            Expr.ColRef(AggCall.slotName(s), slots(s).resultType)
           case attr: AttributeReference =>
             throw new UnsupportedPlanException(
               s"aggregate result references non-grouping column ${attr.name}")
@@ -262,18 +262,7 @@ object CatalystFrontend {
       case a: AttributeReference => Expr.ColRef(varId(a), dtypeOf(a.dataType))
       case al: Alias             => rec(al.child)
       case Literal(null, dt)     => Expr.NullLit(dtypeOf(dt))
-      case Literal(v, dt) => dt match {
-        case IntegerType => Expr.Lit(v.asInstanceOf[Int].toLong, DType.I64)
-        case LongType    => Expr.Lit(v.asInstanceOf[Long], DType.I64)
-        case ShortType   => Expr.Lit(v.asInstanceOf[Short].toLong, DType.I64)
-        case DoubleType  => Expr.Lit(v.asInstanceOf[Double], DType.F64)
-        case FloatType   => Expr.Lit(v.asInstanceOf[Float].toDouble, DType.F64)
-        case _: DecimalType => Expr.Lit(v.asInstanceOf[org.apache.spark.sql.types.Decimal].toDouble, DType.F64)
-        case StringType  => Expr.Lit(v.toString, DType.Str)
-        case DateType    => Expr.Lit(v.asInstanceOf[Int].toLong, DType.Date)
-        case BooleanType => Expr.Lit(v.asInstanceOf[Boolean], DType.Bool)
-        case other       => throw new UnsupportedPlanException(s"literal type $other")
-      }
+      case Literal(v, dt)        => Expr.Lit(value(v, dt), dtypeOf(dt))
 
       case c: Cast => Expr.CastTo(rec(c.child), dtypeOf(c.dataType))
       case k: KnownFloatingPointNormalized => rec(k.child)
@@ -296,9 +285,9 @@ object CatalystFrontend {
       case Not(c)    => Expr.Not(rec(c))
 
       case In(v, list) if list.forall(_.isInstanceOf[Literal]) =>
-        Expr.InValues(rec(v), list.map(l => litValue(l.asInstanceOf[Literal])))
+        Expr.InValues(rec(v), list.map { case Literal(x, dt) => value(x, dt) })
       case ins: InSet =>
-        Expr.InValues(rec(ins.child), ins.hset.toSeq.map(internalValue(_, ins.child.dataType)))
+        Expr.InValues(rec(ins.child), ins.hset.toSeq.map(value(_, ins.child.dataType)))
 
       case x: IsNull    => Expr.IsNull(rec(x.child))
       case x: IsNotNull => Expr.IsNotNull(rec(x.child))
@@ -350,27 +339,20 @@ object CatalystFrontend {
       case other => throw new UnsupportedPlanException(s"expected string literal, got $other")
     }
 
-    private def litValue(l: Literal): Any = l match {
-      case Literal(null, _) => null
-      case Literal(v, dt) => dt match {
-        case IntegerType => v.asInstanceOf[Int].toLong
-        case LongType    => v.asInstanceOf[Long]
-        case DoubleType  => v.asInstanceOf[Double]
-        case _: DecimalType => v.asInstanceOf[org.apache.spark.sql.types.Decimal].toDouble
-        case StringType  => v.toString
-        case DateType    => v.asInstanceOf[Int].toLong
-        case BooleanType => v.asInstanceOf[Boolean]
-        case other       => throw new UnsupportedPlanException(s"IN literal type $other")
-      }
-    }
-
-    private def internalValue(v: Any, dt: DataType): Any = dt match {
-      case StringType  => v.toString
-      case IntegerType => v.asInstanceOf[Int].toLong
-      case LongType    => v.asInstanceOf[Long]
-      case DoubleType  => v.asInstanceOf[Double]
-      case DateType    => v.asInstanceOf[Int].toLong
-      case other       => throw new UnsupportedPlanException(s"InSet type $other")
+    /** A Catalyst value of type `dt` (a literal's or an `InSet` member) as
+      * the value of an [[Expr.Lit]] of `dtypeOf(dt)`; NULL stays null.
+      */
+    private def value(v: Any, dt: DataType): Any = if (v == null) null else dt match {
+      case IntegerType    => v.asInstanceOf[Int].toLong
+      case LongType       => v.asInstanceOf[Long]
+      case ShortType      => v.asInstanceOf[Short].toLong
+      case DoubleType     => v.asInstanceOf[Double]
+      case FloatType      => v.asInstanceOf[Float].toDouble
+      case _: DecimalType => v.asInstanceOf[Decimal].toDouble
+      case StringType     => v.toString
+      case DateType       => v.asInstanceOf[Int].toLong
+      case BooleanType    => v.asInstanceOf[Boolean]
+      case other          => throw new UnsupportedPlanException(s"literal type $other")
     }
   }
 }

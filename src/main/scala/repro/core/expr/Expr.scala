@@ -107,9 +107,6 @@ object Expr {
   /** Result of an uncorrelated scalar subquery, resolved at execution time. */
   final case class ScalarSub(index: Int, dtype: DType) extends Expr { def children = Nil }
 
-  /** Aggregate slot reference — only valid in post-aggregation projections. */
-  final case class AggRef(slot: Int, dtype: DType) extends Expr { def children = Nil }
-
   /** Collect all column names referenced by an expression. */
   def refs(e: Expr): Set[String] = e match {
     case ColRef(n, _) => Set(n)
@@ -130,11 +127,18 @@ object AggFn {
   case object CountStar extends AggFn
 }
 
-/** One aggregate call: slot `i` of an [[repro.core.ir.IR.IRAggregate]]. */
+/** One aggregate call: slot `i` of an [[repro.core.ir.IROp.Aggregate]]. */
 final case class AggCall(fn: AggFn, arg: Option[Expr], distinct: Boolean) {
   def resultType: DType = fn match {
     case AggFn.Count | AggFn.CountStar => DType.I64
     case AggFn.Avg                     => DType.F64
     case _                             => arg.get.dtype
   }
+}
+
+object AggCall {
+  /** The column that holds slot `slot`'s value per group, which an
+    * aggregation's result expressions read as a [[Expr.ColRef]].
+    */
+  def slotName(slot: Int): String = s"#agg$slot"
 }

@@ -316,7 +316,6 @@ object ExprCompiler extends ExprBackend {
     case Lit(v, dt)       => new Const(v, dt)
     case NullLit(dt)      => new Const(null, dt)
     case ScalarSub(i, dt) => new Const(env.subquery(i), dt)
-    case AggRef(_, _)     => throw new IllegalStateException("AggRef outside aggregation")
 
     case a @ Arith(kind, l, r) => new ArithNode(kind.op, compile(l, table, env), compile(r, table, env), a.dtype)
 

@@ -49,7 +49,6 @@ object ExprEval extends ExprBackend {
     case Lit(v, dt)    => ScalarVal(v, dt)
     case NullLit(dt)   => ScalarVal(null, dt)
     case ScalarSub(i, dt) => ScalarVal(env.subquery(i), dt)
-    case AggRef(_, _)  => throw new IllegalStateException("AggRef outside aggregation")
 
     case a @ Arith(kind, l, r) => evalArith(kind, a.dtype, eval(l, table, env), eval(r, table, env), table.numRows)
     case Neg(x) =>

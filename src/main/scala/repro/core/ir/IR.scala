@@ -78,7 +78,7 @@ object IROp {
   }
 
   /** Group-by aggregation (§5.4). Output = resultExprs, which may reference
-    * grouping vars and aggregate slots (Expr.AggRef).
+    * grouping vars and aggregate slots (a `ColRef` to `AggCall.slotName`).
     */
   final case class Aggregate(child: IROp, groupKeys: Vector[(Expr, IRVar)],
                              aggs: Vector[AggCall],

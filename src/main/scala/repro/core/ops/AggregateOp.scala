@@ -32,7 +32,7 @@ object AggregateOp {
     val groups: KeyEncoder.Groups =
       if (groupKeys.isEmpty) KeyEncoder.Groups(I64Tensor.fill(n, 0L), 1, I64Tensor(Array(0L)))
       else {
-        val enc = keyCols.map(KeyEncoder.toOrderedI64)
+        val enc = keyCols.flatMap(KeyEncoder.nullableKey)
         if (hashGroups) HashGrouping.groupsOf(enc) else KeyEncoder.groupsOf(enc)
       }
     // Rows per group: COUNT(*), and the valid count of every null-free argument.
@@ -40,7 +40,7 @@ object AggregateOp {
 
     // One slot column per aggregate call.
     val slotCols: Seq[Column] = aggs.zipWithIndex.map { case (call, slot) =>
-      computeSlot(call, input, groups, rowCounts, env, exprs).renamed(s"#agg$slot")
+      computeSlot(call, input, groups, rowCounts, env, exprs).renamed(AggCall.slotName(slot))
     }
 
     // Group-level table: representative key values + aggregate slots.
@@ -49,32 +49,9 @@ object AggregateOp {
 
     // Final projection over keys and slots (§5.1 expression evaluation).
     val outCols = resultExprs.map { case (e, v) =>
-      exprs.evalToColumn(rewriteAggRefs(e), groupTable, env, v.id)
+      exprs.evalToColumn(e, groupTable, env, v.id)
     }
     TensorTable(outCols.toVector)
-  }
-
-  /** AggRef(slot) → ColRef("#agg<slot>") so post-agg projections reuse the
-    * regular expression evaluators.
-    */
-  private def rewriteAggRefs(e: Expr): Expr = e match {
-    case Expr.AggRef(slot, dt) => Expr.ColRef(s"#agg$slot", dt)
-    case Expr.ColRef(_, _) | Expr.Lit(_, _) | Expr.NullLit(_) | Expr.ScalarSub(_, _) => e
-    case Expr.Arith(k, l, r)   => Expr.Arith(k, rewriteAggRefs(l), rewriteAggRefs(r))
-    case Expr.Neg(x)           => Expr.Neg(rewriteAggRefs(x))
-    case Expr.Cmp(k, l, r)     => Expr.Cmp(k, rewriteAggRefs(l), rewriteAggRefs(r))
-    case Expr.And(l, r)        => Expr.And(rewriteAggRefs(l), rewriteAggRefs(r))
-    case Expr.Or(l, r)         => Expr.Or(rewriteAggRefs(l), rewriteAggRefs(r))
-    case Expr.Not(x)           => Expr.Not(rewriteAggRefs(x))
-    case Expr.InValues(x, vs)  => Expr.InValues(rewriteAggRefs(x), vs)
-    case Expr.IsNull(x)        => Expr.IsNull(rewriteAggRefs(x))
-    case Expr.IsNotNull(x)     => Expr.IsNotNull(rewriteAggRefs(x))
-    case Expr.CaseWhen(bs, el) =>
-      Expr.CaseWhen(bs.map { case (c, v) => (rewriteAggRefs(c), rewriteAggRefs(v)) }, el.map(rewriteAggRefs))
-    case Expr.CastTo(x, dt)    => Expr.CastTo(rewriteAggRefs(x), dt)
-    case Expr.StrPred(k, x, p) => Expr.StrPred(k, rewriteAggRefs(x), p)
-    case Expr.Substr(x, s, l)  => Expr.Substr(rewriteAggRefs(x), s, l)
-    case Expr.Year(x)          => Expr.Year(rewriteAggRefs(x))
   }
 
   /** Evaluate one aggregate call into its per-group slot column. */
@@ -181,7 +158,7 @@ object AggregateOp {
   }
 
   /** `values` with null rows replaced by `fill` (no copy when none is null). */
-  private[ops] def fillInvalid(values: I64Tensor, validity: Option[Array[Boolean]], fill: Long): I64Tensor =
+  private def fillInvalid(values: I64Tensor, validity: Option[Array[Boolean]], fill: Long): I64Tensor =
     validity match {
       case None => values
       case Some(v) =>

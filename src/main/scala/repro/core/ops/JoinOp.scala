@@ -30,8 +30,8 @@ object JoinAlgo {
   * need one "matched" flag per left row, which they read from the right
   * side's key histogram, or for a residual from the min or max of a compared
   * value per key. Only a residual that a key's min, max and count cannot
-  * decide makes them enumerate the candidate pairs (in left-row order, from
-  * that histogram) and test the residual on them.
+  * decide makes them build the pairs, with the same algorithm as the other
+  * kinds, and flag the left rows of the pairs the residual keeps.
   */
 object JoinOp {
 
@@ -47,7 +47,7 @@ object JoinOp {
     require(!nullAware || (kind == JoinKind.LeftAnti && leftKeys.length == 1 && residual.isEmpty),
       s"a null-aware join is an anti join on one key with no residual: $kind, ${leftKeys.length} keys, $residual")
 
-    def matched: BoolTensor = matchedFlags(left, right, leftKeys, rightKeys, residual, nullAware, exprs, env)
+    def matched: BoolTensor = matchedFlags(left, right, leftKeys, rightKeys, residual, nullAware, algo, exprs, env)
     def pairs: (I64Tensor, I64Tensor) = joinPairs(left, right, leftKeys, rightKeys, residual, algo, exprs, env)
 
     kind match {
@@ -99,29 +99,24 @@ object JoinOp {
   }
 
   /** Whether each left row has a right row that satisfies the keys and the
-    * residual, in left-row order.
+    * residual, in left-row order. A residual that is not decided per key
+    * flags the left rows of [[joinPairs]]'s surviving pairs.
     */
   private def matchedFlags(left: TensorTable, right: TensorTable,
                            leftKeys: Seq[Expr], rightKeys: Seq[Expr], residual: Option[Expr],
-                           nullAware: Boolean, exprs: ExprBackend, env: ExecEnv): BoolTensor = {
+                           nullAware: Boolean, algo: JoinAlgo, exprs: ExprBackend, env: ExecEnv): BoolTensor = {
     val nL = left.numRows
-    def matchedBy(lIdx: I64Tensor, rIdx: I64Tensor, cond: Expr): BoolTensor =
-      markMatched(nL, TensorOps.maskedSelect(lIdx, residualMask(left, right, lIdx, rIdx, cond, exprs, env)))
-
-    val perKey = residual.fold(Option(PerKeyResidual(Nil, Nil, None)))(PerKeyResidual.of(_, left, right))
-    if (leftKeys.isEmpty && perKey.isEmpty) {
-      val (lIdx, rIdx) = cross(nL, right.numRows)
-      return matchedBy(lIdx, rIdx, residual.get)
-    }
-    val lCols = leftKeys.map(e => exprs.evalToColumn(e, left, env))
-    val rCols = rightKeys.map(e => exprs.evalToColumn(e, right, env))
-    // Null keys carry sentinel codes no row of the other side shares; without
-    // keys every row has code 0.
-    val (lc, rc, k) =
-      if (leftKeys.isEmpty) (I64Tensor.fill(nL, 0L), I64Tensor.fill(right.numRows, 0L), 1)
-      else encodeWithNulls(lCols, rCols)
-    perKey match {
+    residual.fold(Option(PerKeyResidual(Nil, Nil, None)))(PerKeyResidual.of(_, left, right)) match {
+      case None =>
+        markMatched(nL, joinPairs(left, right, leftKeys, rightKeys, residual, algo, exprs, env)._1)
       case Some(split) =>
+        val lCols = leftKeys.map(e => exprs.evalToColumn(e, left, env))
+        val rCols = rightKeys.map(e => exprs.evalToColumn(e, right, env))
+        // Null keys carry sentinel codes no row of the other side shares;
+        // without keys every row has code 0.
+        val (lc, rc, k) =
+          if (leftKeys.isEmpty) (I64Tensor.fill(nL, 0L), I64Tensor.fill(right.numRows, 0L), 1)
+          else encodeWithNulls(lCols, rCols)
         val hit = matchedPerKey(left, right, lc, rc, k, split, exprs, env)
         def nulls(c: Column): Option[BoolTensor] = c.validity.map(v => TensorOps.logicalNot(BoolTensor(v)))
         // NOT IN against a non-empty right side also drops NULL comparisons.
@@ -129,19 +124,6 @@ object JoinOp {
         else if (right.numRows == 0) BoolTensor.fill(nL, false)
         else if (nulls(rCols.head).exists(TensorOps.any)) BoolTensor.fill(nL, true)
         else nulls(lCols.head).fold(hit)(TensorOps.logicalOr(hit, _))
-      case None =>
-        // Candidate pairs in left-row order: left row i owns pairs
-        // [pairStart(i), pairStart(i) + counts(i)), which map onto its key's
-        // run [rStart(lc(i)), …) of the right rows sorted by key.
-        val rightHist = TensorOps.bincount(rc, k)
-        val counts    = TensorOps.indexSelect(rightHist, lc)
-        val lIdx      = TensorOps.repeatInterleave(counts)
-        val rightPerm = TensorOps.argsort(rc)
-        val rStart    = TensorOps.sub(TensorOps.cumsum(rightHist), rightHist)
-        val pairStart = TensorOps.sub(TensorOps.cumsum(counts), counts)
-        val delta     = TensorOps.sub(TensorOps.indexSelect(rStart, lc), pairStart)
-        val rPos      = TensorOps.add(TensorOps.arange(lIdx.length), TensorOps.indexSelect(delta, lIdx))
-        matchedBy(lIdx, TensorOps.indexSelect(rightPerm, rPos), residual.get)
     }
   }
 

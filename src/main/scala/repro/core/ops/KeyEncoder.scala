@@ -35,6 +35,24 @@ object KeyEncoder {
       if (c.str.width <= 8) StringTensor.packBytes(c.str) else StringTensor.dictEncode(c.str)._1
   }
 
+  /** A sort or grouping key as order-preserving i64 columns: its
+    * [[toOrderedI64]] values, or for a column with a validity mask a null
+    * flag (1 at NULL rows) and then those values zeroed at NULL rows, so the
+    * NULLs tie with each other and with no value.
+    */
+  def nullableKey(c: Column): Seq[I64Tensor] = {
+    val values = toOrderedI64(c)
+    c.validity match {
+      case None => Seq(values)
+      case Some(valid) =>
+        val isNull = new Array[Long](valid.length)
+        val zeroed = values.data.clone()
+        var i = 0
+        while (i < valid.length) { if (!valid(i)) { isNull(i) = 1L; zeroed(i) = 0L }; i += 1 }
+        Seq(I64Tensor(isNull), I64Tensor(zeroed))
+    }
+  }
+
   /** Stable lexicographic argsort over several i64 key columns
     * (multi-pass LSD: sort by the last key first).
     */

@@ -477,28 +477,6 @@ object TensorOps {
     I64Tensor(out)
   }
 
-  /** `torch.repeat_interleave(counts)`: each index `i` repeated `counts(i)`
-    * times, in index order (`[2, 0, 1]` → `[0, 0, 2]`).
-    */
-  def repeatInterleave(counts: I64Tensor): I64Tensor = {
-    val c = counts.data
-    var total = 0L; var i = 0
-    while (i < c.length) {
-      require(c(i) >= 0, s"repeatInterleave: negative count ${c(i)} at $i")
-      total += c(i); i += 1
-    }
-    require(total <= Int.MaxValue, s"repeatInterleave: output too large: $total")
-    val out = new Array[Long](total.toInt)
-    var p = 0; i = 0
-    while (i < c.length) {
-      val end = p + c(i).toInt
-      while (p < end) { out(p) = i; p += 1 }
-      i += 1
-    }
-    Profile.rec("repeatInterleave", Materialize, c.length, c.length * 8L + total * 8L)
-    I64Tensor(out)
-  }
-
   /** `torch.bucketize(v, boundaries)` (right=True): count of boundaries <= v,
     * i.e. index of the first boundary strictly greater than v. Parallel
     * binary search per element — Alg. 1 line 11.

@@ -78,6 +78,10 @@ class TqpSmokeSpec extends SparkSpec {
   check("left outer join counts",
     "select t.k as k, count(w) as cw, count(*) as c from t left outer join u on t.k = u.k and u.w > 50 group by t.k order by k")
 
+  // Unmatched rows have a NULL tag, stored as some other row's tag.
+  check("group by a nullable key from an outer join",
+    "select u.tag as tag, count(*) as c, sum(v) as sv from t left outer join u on t.k = u.k group by u.tag order by tag")
+
   check("left semi (exists)",
     "select k, v from t where exists (select * from u where u.k = t.k and u.w > 100) order by k, v")
 

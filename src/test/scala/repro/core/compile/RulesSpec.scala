@@ -43,7 +43,7 @@ class RulesSpec extends AnyFunSuite {
   test("count(*)-style plans keep one scan column for the row count") {
     val agg = IROp.Aggregate(scan, Vector.empty,
       Vector(repro.core.expr.AggCall(repro.core.expr.AggFn.CountStar, None, distinct = false)),
-      Vector((Expr.AggRef(0, DType.I64), v("cnt"))))
+      Vector((Expr.ColRef(repro.core.expr.AggCall.slotName(0), DType.I64), v("cnt"))))
     val pruned = Rules.pruneColumns(agg)
     val scanOut = pruned.asInstanceOf[IROp.Aggregate].child.asInstanceOf[IROp.Scan].outVars
     assert(scanOut.length == 1)

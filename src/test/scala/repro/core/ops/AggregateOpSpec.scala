@@ -14,6 +14,7 @@ class AggregateOpSpec extends AnyFunSuite {
   import Expr._
 
   private def v(n: String, dt: DType) = IRVar(n, n, dt)
+  private def slot(i: Int, dt: DType): Expr = ColRef(AggCall.slotName(i), dt)
 
   private val table = TensorTable(Vector(
     Column("g", DType.I64, I64Tensor(Array(2L, 1L, 2L, 1L, 2L))),
@@ -45,11 +46,11 @@ class AggregateOpSpec extends AnyFunSuite {
             AggCall(AggFn.Min, Some(ColRef("x", DType.F64)), distinct = false),
             AggCall(AggFn.Max, Some(ColRef("x", DType.F64)), distinct = false)),
         Seq((ColRef("g", DType.I64), v("g", DType.I64)),
-            (AggRef(0, DType.F64), v("s", DType.F64)),
-            (AggRef(1, DType.I64), v("c", DType.I64)),
-            (AggRef(2, DType.F64), v("a", DType.F64)),
-            (AggRef(3, DType.F64), v("mn", DType.F64)),
-            (AggRef(4, DType.F64), v("mx", DType.F64))), hash)
+            (slot(0, DType.F64), v("s", DType.F64)),
+            (slot(1, DType.I64), v("c", DType.I64)),
+            (slot(2, DType.F64), v("a", DType.F64)),
+            (slot(3, DType.F64), v("mn", DType.F64)),
+            (slot(4, DType.F64), v("mx", DType.F64))), hash)
       val rows = (0 until out.numRows).map { i =>
         (out.column("g").i64.data(i), out.column("s").f64.data(i), out.column("c").i64.data(i),
          out.column("a").f64.data(i), out.column("mn").f64.data(i), out.column("mx").f64.data(i))
@@ -65,10 +66,10 @@ class AggregateOpSpec extends AnyFunSuite {
           AggCall(AggFn.CountStar, None, distinct = false),
           AggCall(AggFn.Avg, Some(ColRef("nx", DType.F64)), distinct = false)),
       Seq((ColRef("g", DType.I64), v("g", DType.I64)),
-          (AggRef(0, DType.F64), v("s", DType.F64)),
-          (AggRef(1, DType.I64), v("c", DType.I64)),
-          (AggRef(2, DType.I64), v("cs", DType.I64)),
-          (AggRef(3, DType.F64), v("a", DType.F64))))
+          (slot(0, DType.F64), v("s", DType.F64)),
+          (slot(1, DType.I64), v("c", DType.I64)),
+          (slot(2, DType.I64), v("cs", DType.I64)),
+          (slot(3, DType.F64), v("a", DType.F64))))
     val byG = (0 until out.numRows).map(i => out.column("g").i64.data(i) -> i).toMap
     val g1 = byG(1L); val g2 = byG(2L)
     // Group 1: both values null → sum/avg null, count 0, count(*) 2.
@@ -83,8 +84,8 @@ class AggregateOpSpec extends AnyFunSuite {
       Seq(AggCall(AggFn.Count, Some(ColRef("s", DType.Str)), distinct = true),
           AggCall(AggFn.Sum, Some(ColRef("x", DType.F64)), distinct = false)),
       Seq((ColRef("g", DType.I64), v("g", DType.I64)),
-          (AggRef(0, DType.I64), v("cd", DType.I64)),
-          (AggRef(1, DType.F64), v("sx", DType.F64))))
+          (slot(0, DType.I64), v("cd", DType.I64)),
+          (slot(1, DType.F64), v("sx", DType.F64))))
     val rows = (0 until out.numRows).map { i =>
       (out.column("g").i64.data(i), out.column("cd").i64.data(i))
     }.sortBy(_._1)
@@ -97,8 +98,8 @@ class AggregateOpSpec extends AnyFunSuite {
       Seq(AggCall(AggFn.Min, Some(ColRef("s", DType.Str)), distinct = false),
           AggCall(AggFn.Max, Some(ColRef("s", DType.Str)), distinct = false)),
       Seq((ColRef("g", DType.I64), v("g", DType.I64)),
-          (AggRef(0, DType.Str), v("mn", DType.Str)),
-          (AggRef(1, DType.Str), v("mx", DType.Str))))
+          (slot(0, DType.Str), v("mn", DType.Str)),
+          (slot(1, DType.Str), v("mx", DType.Str))))
     val rows = (0 until out.numRows).map { i =>
       (out.column("g").i64.data(i), out.column("mn").str.rowString(i), out.column("mx").str.rowString(i))
     }.sortBy(_._1)
@@ -111,8 +112,8 @@ class AggregateOpSpec extends AnyFunSuite {
     val out = run(exprs, Nil,
       Seq(AggCall(AggFn.Sum, Some(ColRef("x", DType.F64)), distinct = false),
           AggCall(AggFn.CountStar, None, distinct = false)),
-      Seq((AggRef(0, DType.F64), v("s", DType.F64)),
-          (AggRef(1, DType.I64), v("c", DType.I64))),
+      Seq((slot(0, DType.F64), v("s", DType.F64)),
+          (slot(1, DType.I64), v("c", DType.I64))),
       input = empty)
     assert(out.numRows == 1)
     assert(!out.column("s").isValid(0), "sum over empty is NULL")
@@ -125,7 +126,7 @@ class AggregateOpSpec extends AnyFunSuite {
       Column("x", DType.F64, F64Tensor(Array.emptyDoubleArray))))
     val out = run(exprs, gKey,
       Seq(AggCall(AggFn.Sum, Some(ColRef("x", DType.F64)), distinct = false)),
-      Seq((ColRef("g", DType.I64), v("g", DType.I64)), (AggRef(0, DType.F64), v("s", DType.F64))),
+      Seq((ColRef("g", DType.I64), v("g", DType.I64)), (slot(0, DType.F64), v("s", DType.F64))),
       input = empty)
     assert(out.numRows == 0)
   }
@@ -134,9 +135,35 @@ class AggregateOpSpec extends AnyFunSuite {
     val out = run(exprs, gKey,
       Seq(AggCall(AggFn.Sum, Some(ColRef("x", DType.F64)), distinct = false),
           AggCall(AggFn.CountStar, None, distinct = false)),
-      Seq((Arith(DivK, AggRef(0, DType.F64), AggRef(1, DType.I64)), v("manual_avg", DType.F64))))
+      Seq((Arith(DivK, slot(0, DType.F64), slot(1, DType.I64)), v("manual_avg", DType.F64))))
     val vals = (0 until out.numRows).map(i => out.column("manual_avg").f64.data(i)).sorted
     assert(vals == Seq(30.0, 30.0))
+  }
+
+  testBoth("a NULL group key is its own group, whatever value its row stores (sort and hash paths)") { exprs =>
+    // k = 1, NULL (stored 0), 0, 0, NULL (stored 0); s = x, x, NULL (stored y), y, x.
+    val input = TensorTable(Vector(
+      Column("k", DType.I64, I64Tensor(Array(1L, 0L, 0L, 0L, 0L)), Some(Array(true, false, true, true, false))),
+      Column("s", DType.Str, StringTensor.fromStrings(Array("x", "x", "y", "y", "x")),
+        Some(Array(true, true, false, true, true)))))
+    def rows(out: TensorTable, cols: Seq[String]) = (0 until out.numRows).map { i =>
+      val keys = cols.map { c =>
+        val col = out.column(c)
+        Option.when(col.isValid(i))(if (col.dtype == DType.Str) col.str.rowString(i) else col.i64.data(i))
+      }
+      (keys, out.column("c").i64.data(i))
+    }.toSet
+    def key(c: String, dt: DType) = (ColRef(c, dt): Expr, v(c, dt))
+    val count = Seq(AggCall(AggFn.CountStar, None, distinct = false))
+    for (hash <- Seq(false, true)) withClue(s"hash=$hash ") {
+      val byK = run(exprs, Seq(key("k", DType.I64)), count,
+        Seq(key("k", DType.I64), (slot(0, DType.I64), v("c", DType.I64))), hash, input)
+      assert(rows(byK, Seq("k")) == Set((Seq(Some(1L)), 1L), (Seq(None), 2L), (Seq(Some(0L)), 2L)))
+      val byKS = run(exprs, Seq(key("k", DType.I64), key("s", DType.Str)), count,
+        Seq(key("k", DType.I64), key("s", DType.Str), (slot(0, DType.I64), v("c", DType.I64))), hash, input)
+      assert(rows(byKS, Seq("k", "s")) == Set(
+        (Seq(Some(1L), Some("x")), 1L), (Seq(None, Some("x")), 2L), (Seq(Some(0L), None), 1L), (Seq(Some(0L), Some("y")), 1L)))
+    }
   }
 
   testBoth("multi-column group keys") { exprs =>
@@ -147,7 +174,7 @@ class AggregateOpSpec extends AnyFunSuite {
       Seq(AggCall(AggFn.CountStar, None, distinct = false)),
       Seq((ColRef("g", DType.I64), v("g", DType.I64)),
           (ColRef("g2", DType.Str), v("g2", DType.Str)),
-          (AggRef(0, DType.I64), v("c", DType.I64))),
+          (slot(0, DType.I64), v("c", DType.I64))),
       exprs, hashGroups = false, ExecEnv.empty)
     val rows = (0 until out.numRows).map { i =>
       (out.column("g").i64.data(i), out.column("g2").str.rowString(i), out.column("c").i64.data(i))
@@ -196,7 +223,7 @@ class AggregateOpSpec extends AnyFunSuite {
     val names = Seq("s", "a", "mn", "mx", "c", "cs", "ds")
     val types = Seq(DType.F64, DType.F64, DType.F64, DType.F64, DType.I64, DType.I64, DType.F64)
     val res = (ColRef("k", DType.I64): Expr, v("k", DType.I64)) +:
-      names.indices.map(j => (AggRef(j, types(j)): Expr, v(names(j), types(j))))
+      names.indices.map(j => (slot(j, types(j)): Expr, v(names(j), types(j))))
     for (hash <- Seq(false, true)) withClue(s"hash=$hash ") {
       val out = run(exprs, Seq((ColRef("k", DType.I64), v("k", DType.I64))), calls, res, hash, input)
       assert(out.numRows == ref.size)

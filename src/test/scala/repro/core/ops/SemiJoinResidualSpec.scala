@@ -10,7 +10,8 @@ import repro.tensor._
   * reference, on small random tables: every comparison form JoinOp decides
   * per key (`<`, `<=`, `>`, `>=`, `<>`, `NOT(=)`, either operand order), with
   * and without left-only and right-only conjuncts, with NULL keys, values and
-  * conjuncts, and residuals that still need the pair table.
+  * conjuncts, and residuals that still need the pair table, under every
+  * join algorithm.
   */
 class SemiJoinResidualSpec extends AnyFunSuite {
   import Expr._
@@ -69,6 +70,7 @@ class SemiJoinResidualSpec extends AnyFunSuite {
 
   private val existsVar = IRVar("m", "m", DType.Bool)
   private val backends: Seq[ExprBackend] = Seq(ExprEval, ExprCompiler)
+  private val algos: Seq[JoinAlgo] = Seq(JoinAlgo.Sort, JoinAlgo.Hash, JoinAlgo.Auto)
 
   /** Checks every residual on one pair of tables, keyed or (`keyed = false`) keyless. */
   private def check(l: Side, r: Side, vType: DType, keyed: Boolean, devices: Seq[CpuDevice]): Unit =
@@ -78,15 +80,15 @@ class SemiJoinResidualSpec extends AnyFunSuite {
       }
       val (lKeys, rKeys) = if (keyed) (Seq(ColRef("lk", DType.I64)), Seq(ColRef("rk", DType.I64))) else (Nil, Nil)
       for (kind <- Seq(JoinKind.LeftSemi, JoinKind.LeftAnti, JoinKind.Existence(existsVar));
-           exprs <- backends; dev <- devices)
-        withClue(s"${res.label}, $vType, keyed=$keyed, $kind, $exprs, ${dev.threads} threads: ") {
+           exprs <- backends; algo <- algos; dev <- devices)
+        withClue(s"${res.label}, $vType, keyed=$keyed, $kind, $exprs, $algo, ${dev.threads} threads: ") {
           val outNames = Seq("lid", "lk", "lv", "lw") ++ (kind match {
             case JoinKind.Existence(v) => Seq(v.id)
             case _                     => Nil
           })
           val out = ExecCtx.withDevice(dev) {
             JoinOp.execute(l.table("l", vType), r.table("r", vType), kind, lKeys, rKeys, Some(res.expr),
-              nullAware = false, JoinAlgo.Sort, exprs, ExecEnv.empty, outNames)
+              nullAware = false, algo, exprs, ExecEnv.empty, outNames)
           }
           val ids = out.column("lid").i64.data.toSeq
           kind match {
@@ -122,14 +124,15 @@ class SemiJoinResidualSpec extends AnyFunSuite {
   test("a per-key residual enumerates no pairs; two comparisons between the sides do") {
     val rnd = new scala.util.Random(9)
     val (l, r) = (side(rnd, 30, 4, 0L), side(rnd, 40, 4, 0L))
-    for (res <- residuals(DType.I64)) withClue(res.label) {
+    for (res <- residuals(DType.I64); algo <- algos) withClue(s"${res.label}, $algo: ") {
       val p = new Profile
       ExecCtx.withProfile(p) {
         JoinOp.execute(l.table("l", DType.I64), r.table("r", DType.I64), JoinKind.LeftSemi,
           Seq(ColRef("lk", DType.I64)), Seq(ColRef("rk", DType.I64)), Some(res.expr),
-          nullAware = false, JoinAlgo.Sort, ExprEval, ExecEnv.empty, Seq("lid", "lk", "lv", "lw"))
+          nullAware = false, algo, ExprEval, ExecEnv.empty, Seq("lid", "lk", "lv", "lw"))
       }
-      val pairs = p.records.exists(_.name == "repeatInterleave")
+      // Only flagging the left rows of a pair table records `scatterFlags`.
+      val pairs = p.records.exists(_.name == "scatterFlags")
       assert(pairs == res.label.startsWith("lv < rv AND lw <> rw"))
     }
   }

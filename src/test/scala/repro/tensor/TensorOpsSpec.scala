@@ -138,17 +138,6 @@ class TensorOpsSpec extends AnyFunSuite {
     }
   }
 
-  test("repeatInterleave repeats each index by its count") {
-    val p = new Profile
-    val out = ExecCtx.withProfile(p)(TensorOps.repeatInterleave(I64Tensor(Array(2L, 0L, 1L, 3L, 0L))))
-    assert(out.data.toSeq == Seq(0L, 0L, 2L, 3L, 3L, 3L))
-    // One record: 8 bytes per count read and per index written.
-    assert(p.records == Seq(OpRecord("repeatInterleave", OpClass.Materialize, 5L, 5L * 8 + 6L * 8)))
-    assert(TensorOps.repeatInterleave(I64Tensor(Array.emptyLongArray)).length == 0)
-    assert(TensorOps.repeatInterleave(I64Tensor(Array(0L, 0L))).length == 0)
-    assertThrows[IllegalArgumentException](TensorOps.repeatInterleave(I64Tensor(Array(1L, -1L))))
-  }
-
   test("bucketize = count of boundaries <= v (binary search)") {
     val bounds = I64Tensor(Array(2L, 6L, 9L))
     val v      = I64Tensor(Array(0L, 2L, 5L, 6L, 8L, 9L, 100L))

@@ -76,12 +76,6 @@ object TensorProps extends Properties("tensor") {
     TensorOps.bincount(I64Tensor(a), 101).data.sum == a.length.toLong
   }
 
-  property("repeatInterleave repeats each index by its count") = Prop.forAll(
-    Gen.containerOf[Array, Long](Gen.frequency(1 -> Gen.const(0L), 3 -> Gen.chooseNum(1L, 5L)))) { counts =>
-    TensorOps.repeatInterleave(I64Tensor(counts)).data.toSeq ==
-      counts.toSeq.zipWithIndex.flatMap { case (c, i) => Seq.fill(c.toInt)(i.toLong) }
-  }
-
   property("bucketize matches linear scan") = Prop.forAll(longs, longs) { (vs, bs0) =>
     val bs = bs0.sorted
     val got = TensorOps.bucketize(I64Tensor(vs), I64Tensor(bs)).data

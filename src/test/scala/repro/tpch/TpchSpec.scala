@@ -2,6 +2,7 @@ package repro.tpch
 
 import repro.{OracleTyped, SparkSpec}
 import repro.core.exec.TqpConfig
+import repro.core.ir.IROp
 import repro.core.ops.JoinAlgo
 import repro.tensor.{ExecCtx, Profile}
 
@@ -37,16 +38,25 @@ class TpchSpec extends SparkSpec {
     TpchQueries.all(sf).foreach { case (name, q) => assert(tqp.compile(q) eq tqp.compile(q), name) }
   }
 
-  /** Whether running `q` under `cfg` enumerated join pairs for a semi or anti join's residual. */
-  private def enumeratesPairs(q: String, cfg: TqpConfig): Boolean = {
+  /** Whether running `q` under `cfg` flagged matched rows from a pair table:
+    * a left outer join, or a semi or anti join whose residual is not decided
+    * per key.
+    */
+  private def flagsPairs(q: String, cfg: TqpConfig): Boolean = {
     val p = new Profile
     ExecCtx.withProfile(p)(tqp.run(tqp.compile(q), cfg))
-    p.records.exists(_.name == "repeatInterleave")
+    p.records.exists(_.name == "scatterFlags")
   }
 
-  test("Q21's EXISTS and NOT EXISTS joins decide their `<>` residual per key, with no pair table") {
-    for (cfg <- Seq(TqpConfig.interpreted, TqpConfig.compiledMode))
-      assert(!enumeratesPairs(queries("Q21"), cfg), cfg)
+  private val pairConfigs = Seq(TqpConfig.interpreted, TqpConfig.compiledMode, TqpConfig(joinAlgo = JoinAlgo.Hash))
+
+  test("the semi and anti joins of Q4, Q16, Q18, Q20, Q21 and Q22 are decided per key, with no pair table") {
+    for (name <- Seq("Q4", "Q16", "Q18", "Q20", "Q21", "Q22")) {
+      val plan = IROp.treeString(tqp.compile(queries(name)).plan)
+      assert(Seq("Join(LeftSemi", "Join(LeftAnti", "Join(Existence").exists(plan.contains), s"$name: $plan")
+      assert(!plan.contains("Join(LeftOuter"), s"$name: $plan")
+      for (cfg <- pairConfigs) assert(!flagsPairs(queries(name), cfg), s"$name, $cfg")
+    }
   }
 
   test("residuals with two comparisons between the sides match DuckDB through the pair table") {
@@ -57,8 +67,8 @@ class TpchSpec extends SparkSpec {
         and not exists (select * from lineitem
                         where l_orderkey = o_orderkey and l_suppkey * 10 > o_custkey and l_partkey < o_custkey)
       order by o_orderkey"""
-    for (cfg <- Seq(TqpConfig.interpreted, TqpConfig.compiledMode)) {
-      assert(enumeratesPairs(q, cfg), cfg)
+    for (cfg <- pairConfigs :+ TqpConfig(compiled = true, joinAlgo = JoinAlgo.Auto)) {
+      assert(flagsPairs(q, cfg), cfg)
       assert(tqp.run(q, cfg).numRows > 0)
       OracleTyped.assertEquivalent(tqp.runToDf(q, cfg), q, tablesFor(q): _*)
     }
